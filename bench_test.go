@@ -8,6 +8,7 @@ package neurofail_test
 // sweeps).
 
 import (
+	"context"
 	"io"
 	"math"
 	"os"
@@ -368,6 +369,29 @@ func BenchmarkExhaustiveSearch(b *testing.B) {
 		if _, err := fault.ExhaustiveWorstCrash(net, []int{2, 2}, inputs, 1_000_000); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestExhaustivePruningPower pins what the per-node subtree bounder buys
+// on a dense model: a sequential pruned search on the
+// BenchmarkExhaustiveSearch fixture evaluates at most 720 of its 2,025
+// configurations, where a per-layer chain bound evaluates 1,980.
+func TestExhaustivePruningPower(t *testing.T) {
+	net := benchNet([]int{10, 10})
+	inputs := metrics.RandomPoints(rng.New(3), 8, 4)
+	w, err := fault.NewWorstCase(net, []int{2, 2}, inputs, fault.WorstCaseOptions{Prune: true, Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Visited+res.Pruned != res.Configurations {
+		t.Fatalf("visited %d + pruned %d != %d configurations", res.Visited, res.Pruned, res.Configurations)
+	}
+	if res.Visited > 720 {
+		t.Fatalf("pruned search visited %d of %d configurations, want <= 720", res.Visited, res.Configurations)
 	}
 }
 

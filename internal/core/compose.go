@@ -112,6 +112,7 @@ func Compose(a, b SubnetCert) (SubnetCert, error) {
 // span's edges — the same per-node algebra as NodeShape.
 func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, error) {
 	L := m.NumLayers()
+	dm := nn.DAGOf(m)
 	if lo < 1 || hi > L+1 || lo > hi {
 		return SubnetCert{}, fmt.Errorf("core: CertifySpan span [%d, %d] outside [1, %d]", lo, hi, L+1)
 	}
@@ -147,9 +148,9 @@ func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, e
 		gain[t] = make([][]float64, wt)
 		for j := 0; j < wt; j++ {
 			row := make([]float64, in)
-			d := nn.FanInOf(m, t, j)
+			d := dm.FanIn(t, j)
 			for e := 0; e < d; e++ {
-				sl, si, w := nn.InEdgeOf(m, t, j, e)
+				sl, si, w := dm.InEdge(t, j, e)
 				if sl < lo-1 {
 					return SubnetCert{}, fmt.Errorf("core: CertifySpan: edge into level %d from level %d crosses the cut at %d", t, sl, lo-1)
 				}
@@ -195,9 +196,9 @@ func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, e
 				if g == 0 {
 					continue
 				}
-				d := nn.FanInOf(m, t, j)
+				d := dm.FanIn(t, j)
 				for e := 0; e < d; e++ {
-					sl, si, w := nn.InEdgeOf(m, t, j, e)
+					sl, si, w := dm.InEdge(t, j, e)
 					if sl >= lo {
 						amp[sl][si] += math.Abs(w) * g
 					}
@@ -228,14 +229,15 @@ func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, e
 // be cut everywhere; skip connections remove the levels they jump over.
 func Cuts(m nn.Model) []int {
 	L := m.NumLayers()
+	dm := nn.DAGOf(m)
 	// crossing[v] counts edges (sl -> t) with sl < v < t, built as a
 	// difference array over the cut positions each edge invalidates.
 	diff := make([]int, L+2)
 	for t := 1; t <= L+1; t++ {
 		for j := 0; j < m.Width(t); j++ {
-			d := nn.FanInOf(m, t, j)
+			d := dm.FanIn(t, j)
 			for e := 0; e < d; e++ {
-				sl, _, _ := nn.InEdgeOf(m, t, j, e)
+				sl, _, _ := dm.InEdge(t, j, e)
 				if sl+1 <= t-1 {
 					diff[sl+1]++
 					diff[t]--

@@ -55,8 +55,8 @@ type NodeShape struct {
 }
 
 // NodeShapeOf builds the per-node shape of any Model by one reverse
-// topological sweep over its edges (DAG models enumerate real edges;
-// layered models fall back to full previous-layer fan-in).
+// topological sweep over the edges of its nn.DAGOf view (graph models
+// enumerate real edges, layered models full previous-layer fan-in).
 func NodeShapeOf(m nn.Model) (*NodeShape, error) {
 	act := m.Activation()
 	k := act.Lipschitz()
@@ -85,6 +85,7 @@ func NodeShapeOf(m nn.Model) (*NodeShape, error) {
 		full[t] = make([]float64, w)
 	}
 	full[L+1] = []float64{1}
+	dm := nn.DAGOf(m)
 	ns.synPrefix = make([][]float64, L+1)
 	for t := L + 1; t >= 1; t-- {
 		wt := 1
@@ -97,10 +98,10 @@ func NodeShapeOf(m nn.Model) (*NodeShape, error) {
 			if t <= L {
 				g *= k
 			}
-			d := nn.FanInOf(m, t, j)
+			d := dm.FanIn(t, j)
 			for e := 0; e < d; e++ {
 				gains = append(gains, g)
-				sl, si, w := nn.InEdgeOf(m, t, j, e)
+				sl, si, w := dm.InEdge(t, j, e)
 				if math.IsNaN(w) {
 					return nil, fmt.Errorf("core: NaN weight into layer %d", t)
 				}

@@ -3,98 +3,166 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/nn"
 )
 
 // SubtreeBounder prices the branch-and-bound pruning of the
 // tree-structured exhaustive search (fault.WorstCase): given a node of
-// the configuration tree — the layers 1..d already damaged, the layers
-// d+1..L still free — it bounds the output deviation of EVERY leaf
+// the configuration tree — levels 1..d already damaged, levels > d
+// still free — it bounds the output deviation of EVERY leaf
 // configuration below that node, so a subtree whose bound is strictly
 // below the incumbent worst error can be skipped without evaluating a
-// single leaf.
+// single leaf. It keeps one propagation coefficient per node, so it is
+// sound on any topology (nn.DAGOf): a skip edge is priced along its
+// own paths instead of through the layer chain it bypasses.
 //
-// The bound is the Fep recurrence of Theorem 2 started from a measured
-// prefix instead of a per-fault cap. Write Δ_l(x) for the l1 deviation
-// of the damaged layer-l outputs from the clean trace on input x, and
-// topf_l(x) for the largest possible sum of |injected - clean| over any
-// admissible choice of f_l faulty neurons of layer l (exact per input,
-// because the engine hands every injector the CLEAN nominal output, so
-// a faulty neuron's deviation is independent of upstream damage). Then
-// for any completion of the free layers:
+// Write δ_u(x) ≥ 0 for the absolute deviation of node u's emitted value
+// from the clean trace on input x. At a depth-d tree node the levels
+// 1..d are damaged and measured (δ exact), the levels > d are free. For
+// any completion of the free levels, a correct free node is K-Lipschitz
+// in its received sum and a faulty free node emits inj(clean) — a
+// deviation that is exact and independent of upstream damage. Unrolling
+// those two facts along every path gives
 //
-//	Δ_{l}(x) <= (N_l - f_l) · K · w_m^{(l)} · Δ_{l-1}(x) + topf_l(x)
+//	|Fneu(x) - Ffail(x)| <= Σ_{lvl(u) <= d} coef_d(u)·δ_u(x)
+//	                      + Σ_{l > d} topf_l(x)
 //
-// — the N_l - f_l correct neurons are K-Lipschitz in their received
-// sums, each received sum moves by at most w_m^{(l)} · Δ_{l-1}(x), and
-// the f_l faulty neurons contribute their exact deviations — and the
-// output moves by at most w_m^{(L+1)} · Δ_L(x). Unrolling from depth d:
-//
-//	|Fneu(x) - Ffail(x)| <= Coef(d) · Δ_d(x) + Σ_{l=d+1..L} Coef(l) · topf_l(x)
-//
-// with Coef(l) = K^{L-l} · Π_{l'=l+1..L+1} (N_{l'} - f_{l'}) w_m^{(l')}
-// — exactly the propagation factors of Fep/DeviationFep (Coef(l) is the
-// multiplier DeviationFep applies to layer l's deviation caps, and
-// Bound(0, 0, Tail(0, caps)) reproduces DeviationFep itself, the d = 0
-// root of the tree where nothing is damaged yet).
+// where coef_d(u) — Coef(d, lvl(u))[idx(u)] — sums |w| products times
+// K per correct intermediate node over every path from u to the output
+// that stays strictly inside the free levels (paths through other
+// measured nodes are already accounted by THEIR δ), and topf_l(x)
+// bounds Σ amp(u)·dev_u(x) over any admissible choice of the f_l faulty
+// nodes of free level l, with amp(u) the all-levels-free amplification
+// — exactly NodeShape's Amp, exposed here so callers price the tails
+// and the leaf layer's own combinations with the same coefficients. At
+// the root (d = 0, every level free) with every deviation capped by c,
+// the bound is NodeShape.Fep(faults, c).
 //
 // Soundness is what makes pruning free: the bound dominates every leaf
-// of the subtree, so skipping a subtree whose bound is STRICTLY below
-// an attained error can never discard a configuration attaining the
-// maximum, and ties are never pruned.
+// of the subtree in real arithmetic, so skipping a subtree whose bound
+// is STRICTLY below an attained error (modulo the caller's rounding
+// slack) can never discard a configuration attaining the maximum, and
+// ties are never pruned. On a strictly layered model coef_d(u) is zero
+// for every u at levels < d — all paths thread the measured level d —
+// which is the layer-chain bound's structure with per-edge weights in
+// place of the per-layer factors (N_l - f_l)·K·w_m^{(l)}. See DESIGN.md
+// §9.2 for the derivation.
 type SubtreeBounder struct {
-	coef []float64
+	layers   int
+	maxDepth int
+	// amp[l-1][i]: node (l, i)'s all-levels-free amplification (the
+	// NodeShape amp — one reverse sweep with every level free).
+	amp [][]float64
+	// coef[d][v-1][i]: node (v, i)'s amplification through the free
+	// levels > d only, for 1 <= v <= d <= maxDepth.
+	coef [][][]float64
 }
 
-// NewSubtreeBounder builds the propagation coefficients for a fault
-// distribution (faults[l-1] faulty neurons in layer l). Unlike the
-// panicking bound helpers this validates and returns errors: the tree
-// engine is reachable from serve requests.
-func NewSubtreeBounder(s Shape, faults []int) (*SubtreeBounder, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
+// NewSubtreeBounder builds per-node propagation coefficients for a
+// fault distribution (faults[l-1] faulty neurons in layer l) over any
+// Model — one reverse topological sweep per damaged depth, O(dl·E)
+// total. It validates and returns errors: the tree engine is reachable
+// from serve requests.
+func NewSubtreeBounder(m nn.Model, faults []int) (*SubtreeBounder, error) {
+	act := m.Activation()
+	k := act.Lipschitz()
+	if k <= 0 || math.IsNaN(k) {
+		return nil, fmt.Errorf("core: Lipschitz constant %v", k)
 	}
-	if len(faults) != s.Layers() {
-		return nil, fmt.Errorf("core: fault distribution has %d entries for %d layers", len(faults), s.Layers())
+	L := m.NumLayers()
+	if len(faults) != L {
+		return nil, fmt.Errorf("core: fault distribution has %d entries for %d layers", len(faults), L)
 	}
-	for l, f := range faults {
-		if f < 0 || f > s.Widths[l] {
-			return nil, fmt.Errorf("core: f_%d = %d outside [0, N_%d=%d]", l+1, f, l+1, s.Widths[l])
+	maxDepth := 0
+	for l := 1; l <= L; l++ {
+		w := m.Width(l)
+		if w <= 0 {
+			return nil, fmt.Errorf("core: layer %d has width %d", l, w)
+		}
+		if f := faults[l-1]; f < 0 || f > w {
+			return nil, fmt.Errorf("core: f_%d = %d outside [0, N_%d=%d]", l, f, l, w)
+		}
+		if faults[l-1] > 0 {
+			maxDepth = l
 		}
 	}
-	L := s.Layers()
-	suffix := s.suffixProducts(faults)
-	coef := make([]float64, L+1)
-	for d := 0; d <= L; d++ {
-		coef[d] = math.Pow(s.K, float64(L-d)) * suffix[d]
+	b := &SubtreeBounder{layers: L, maxDepth: maxDepth}
+	dm := nn.DAGOf(m)
+	full, err := b.sweep(dm, k, 0)
+	if err != nil {
+		return nil, err
 	}
-	return &SubtreeBounder{coef: coef}, nil
+	b.amp = full
+	b.coef = make([][][]float64, maxDepth+1)
+	for d := 1; d <= maxDepth; d++ {
+		restricted, err := b.sweep(dm, k, d)
+		if err != nil {
+			return nil, err
+		}
+		b.coef[d] = restricted[:d]
+	}
+	return b, nil
 }
 
-// Coef returns K^{L-d} · Π_{l=d+1..L+1} (N_l - f_l) w_m^{(l)}: the
-// factor by which an l1 deviation of the layer-d outputs can grow on
-// its way to the output node (d = 0..L; Coef(L) = w_m^{(L+1)}).
-func (b *SubtreeBounder) Coef(d int) float64 { return b.coef[d] }
+// sweep computes, for every node, the amplification of a unit deviation
+// of its emitted value into the output along paths whose INTERMEDIATE
+// nodes all sit at levels > d (d = 0 frees every level: the NodeShape
+// amp). One reverse pass: nodes at levels <= d accumulate incoming
+// amplification but forward nothing — their deviations are measured,
+// not propagated.
+func (b *SubtreeBounder) sweep(m nn.DAGModel, k float64, d int) ([][]float64, error) {
+	L := b.layers
+	full := make([][]float64, L+2)
+	for t := 1; t <= L; t++ {
+		full[t] = make([]float64, m.Width(t))
+	}
+	full[L+1] = []float64{1}
+	for t := L + 1; t > d; t-- {
+		wt := 1
+		if t <= L {
+			wt = m.Width(t)
+		}
+		for j := 0; j < wt; j++ {
+			g := full[t][j]
+			if t <= L {
+				g *= k
+			}
+			if g == 0 {
+				continue
+			}
+			deg := m.FanIn(t, j)
+			for e := 0; e < deg; e++ {
+				sl, si, w := m.InEdge(t, j, e)
+				if math.IsNaN(w) {
+					return nil, fmt.Errorf("core: NaN weight into layer %d", t)
+				}
+				if sl == 0 {
+					continue // inputs cannot deviate
+				}
+				full[sl][si] += math.Abs(w) * g
+			}
+		}
+	}
+	return full[1 : L+1], nil
+}
 
 // Layers returns L.
-func (b *SubtreeBounder) Layers() int { return len(b.coef) - 1 }
+func (b *SubtreeBounder) Layers() int { return b.layers }
 
-// Bound combines a node's measured prefix deviation with the free-layer
-// tail: Coef(d)·delta + tail dominates |Fneu - Ffail| for every leaf
-// below a depth-d node whose damaged outputs deviate by delta (l1) and
-// whose free layers are priced by tail (see Tail).
-func (b *SubtreeBounder) Bound(d int, delta, tail float64) float64 {
-	return b.coef[d]*delta + tail
-}
+// MaxDepth returns the deepest 1-based layer hosting faults (0 when the
+// distribution is empty); Coef is defined for depths 1..MaxDepth.
+func (b *SubtreeBounder) MaxDepth() int { return b.maxDepth }
 
-// Tail prices the free layers below depth d: Σ_{l=d+1..L} Coef(l) ·
-// topf[l-1], where topf[l-1] bounds the summed deviation of any
-// admissible choice of layer-l faults (0 for fault-free layers). Tail(0,
-// caps) with topf[l-1] = f_l · c reproduces Fep(s, faults, c) up to
-// floating-point association.
-func (b *SubtreeBounder) Tail(d int, topf []float64) float64 {
-	t := 0.0
-	for l := d + 1; l < len(b.coef); l++ {
-		t += b.coef[l] * topf[l-1]
-	}
-	return t
-}
+// Amp returns level l's all-levels-free per-node amplifications
+// (l = 1..L) — the coefficients pricing faults at FREE levels: a faulty
+// node's exact deviation propagates through downstream levels that are
+// all free at any bound depth above it. The slice is owned by the
+// bounder; callers must not mutate it.
+func (b *SubtreeBounder) Amp(l int) []float64 { return b.amp[l-1] }
+
+// Coef returns level v's per-node coefficients for a bound at depth d
+// (1 <= v <= d <= MaxDepth): entry i multiplies the measured deviation
+// of node (v, i). The slice is owned by the bounder; callers must not
+// mutate it.
+func (b *SubtreeBounder) Coef(d, v int) []float64 { return b.coef[d][v-1] }

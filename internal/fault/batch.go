@@ -15,22 +15,17 @@ import (
 const BatchLanes = 8
 
 // BatchPlan evaluates P compiled plans against one model as a single
-// multi-lane sweep. The clean prefix is shared: every lane starts from
-// the input's precomputed clean trace at its plan's first divergent
-// layer, and from there the damaged suffixes advance together — each
-// layer's weight matrix streams from cache once per batch of lanes
-// instead of once per plan (tensor.MulVecLanesAddTo), which is where
-// the structural speedup over the one-at-a-time engine comes from.
-//
-// Arbitrary-topology models run the same fusion level-scheduled: each
-// lane carries a per-level pointer array over the virtual source
-// concatenation — levels off the lane's divergence frontier alias the
-// clean trace, levels on it point at the lane's scratch — and every
-// frontier level gathers its lanes through the multi-lane CSR kernel
-// (tensor.CSR.GatherLanesAddTo) in one pass over the level's edge
-// list. A divergent level with no synapse faults and clean sources
-// copies the trace outputs and overrides the faulty neurons, the DAG
-// form of the layered divergence-layer fast path.
+// multi-lane sweep, level-scheduled over the model's nn.DAGOf view. The
+// clean prefix is shared: each lane carries a per-level pointer array
+// in which levels off the lane's divergence frontier alias the input's
+// precomputed clean trace and cost nothing, and from the frontier on
+// the damaged levels advance together — each level's weights stream
+// from cache once per batch of lanes instead of once per plan (the
+// dense lanes matvec, the CSR lanes gather on graph models), which is
+// where the structural speedup over the one-at-a-time engine comes
+// from. A divergent level with no synapse faults and clean sources
+// copies the trace outputs and overrides the faulty neurons instead of
+// joining the kernel batch.
 //
 // Per lane the arithmetic replays CompiledPlan.ErrorOnTrace exactly
 // (same kernels, same accumulation order, same fault-application
@@ -42,19 +37,18 @@ const BatchLanes = 8
 // serve's Monte Carlo do).
 type BatchPlan struct {
 	net   nn.Model
-	dag   nn.DAGModel // non-nil for arbitrary-topology models
+	dag   nn.DAGModel // nn.DAGOf(net): the level view the sweep runs on
 	lanes []*CompiledPlan
 
 	active int
 	sc     nn.BatchScratch
-	// xs/dsts are the per-layer kernel views of the active lanes;
+	// dsts is the per-level kernel view of the live lanes' outputs;
 	// laneOf maps a kernel slot back to its lane; trs holds each lane's
 	// clean trace for the current evaluation.
-	xs     [][]float64
 	dsts   [][]float64
 	laneOf []int
 	trs    []*nn.Trace
-	// levels[p][v] is lane p's pointer to level v's outputs during a DAG
+	// levels[p][v] is lane p's pointer to level v's outputs during a
 	// sweep (entry 0 the input; clean levels alias the lane's trace,
 	// frontier levels the lane's scratch buffer); srcs is the kernel's
 	// per-slot view of the live lanes' level arrays.
@@ -71,25 +65,20 @@ func CompileBatch(m nn.Model, lanes int) *BatchPlan {
 	}
 	bp := &BatchPlan{
 		net:    m,
+		dag:    nn.DAGOf(m),
 		lanes:  make([]*CompiledPlan, lanes),
-		xs:     make([][]float64, lanes),
 		dsts:   make([][]float64, lanes),
 		laneOf: make([]int, lanes),
 		trs:    make([]*nn.Trace, lanes),
+		levels: make([][][]float64, lanes),
+		srcs:   make([][][]float64, lanes),
 	}
+	L := m.NumLayers()
 	for p := range bp.lanes {
 		bp.lanes[p] = Compile(m, Plan{})
+		bp.levels[p] = make([][]float64, L+1)
 	}
 	bp.sc.Ensure(m, lanes)
-	if dm, ok := m.(nn.DAGModel); ok {
-		bp.dag = dm
-		L := m.NumLayers()
-		bp.levels = make([][][]float64, lanes)
-		for p := range bp.levels {
-			bp.levels[p] = make([][]float64, L+1)
-		}
-		bp.srcs = make([][][]float64, lanes)
-	}
 	return bp
 }
 
@@ -143,133 +132,18 @@ func (bp *BatchPlan) ErrorsOnTraces(injs []Injector, trs []*nn.Trace, out []floa
 }
 
 // evalLanes is the fused multi-lane damaged sweep over bp.trs; out[p]
-// receives lane p's absolute error.
+// receives lane p's absolute error. Per lane the arithmetic replays
+// CompiledPlan.ErrorOnTrace exactly, so results stay bit-identical to
+// the scalar engine for every injector.
 func (bp *BatchPlan) evalLanes(injs []Injector, out []float64) {
 	n := bp.active
 	if len(injs) < n || len(out) < n {
 		panic("fault: BatchPlan evaluation with short injector or output slice")
 	}
-	if bp.dag != nil {
-		bp.evalLanesDAG(injs, out)
-		return
-	}
-	m := bp.net
-	L := m.NumLayers()
-	act := m.Activation()
-	bp.sc.Ensure(m, len(bp.lanes))
-
-	minD := L + 1
-	for p := 0; p < n; p++ {
-		if d := bp.lanes[p].diverge; d < minD {
-			minD = d
-		}
-	}
-
-	for l := minD; l <= L; l++ {
-		// Gather the lanes live at this layer and their inputs: the
-		// trace prefix at the divergence layer, the lane's own previous
-		// buffer after it.
-		k := 0
-		lanebufs := bp.sc.Layer(l)
-		for p := 0; p < n; p++ {
-			cp := bp.lanes[p]
-			d := cp.diverge
-			if l < d {
-				continue
-			}
-			if l == d {
-				tr := bp.trs[p]
-				if len(cp.synapsesAt[l]) == 0 {
-					// Divergence layer without synapse faults: the
-					// received sums equal the clean ones, so the lane's
-					// outputs are bitwise the trace's — copy and
-					// override here instead of joining the kernel
-					// batch (same fast path as the scalar engine).
-					dst := lanebufs[p]
-					copy(dst, tr.Outputs[l-1])
-					if _, isCrash := injs[p].(Crash); isCrash {
-						for _, f := range cp.neuronsAt[l] {
-							dst[f.Index] = 0
-						}
-					} else {
-						for _, f := range cp.neuronsAt[l] {
-							dst[f.Index] = injs[p].NeuronValue(f, tr.Outputs[l-1][f.Index])
-						}
-					}
-					continue
-				}
-				if l == 1 {
-					bp.xs[k] = tr.Input
-				} else {
-					bp.xs[k] = tr.Outputs[l-2]
-				}
-			} else {
-				bp.xs[k] = bp.sc.Layer(l - 1)[p]
-			}
-			bp.dsts[k] = lanebufs[p]
-			bp.laneOf[k] = p
-			k++
-		}
-		// One sweep over W^{(l)} serves every live lane.
-		nn.LayerSumsLanesModel(m, l, bp.dsts[:k], bp.xs[:k])
-		// Fault application per lane, in the exact order of the
-		// one-at-a-time engine: synapse deltas on the received sums,
-		// activation around the overridden rows, then neuron overrides
-		// reading nominals off the clean trace.
-		for s := 0; s < k; s++ {
-			p := bp.laneOf[s]
-			cp := bp.lanes[p]
-			inj := injs[p]
-			sF := bp.dsts[s]
-			yPrev := bp.xs[s]
-			for _, f := range cp.synapsesAt[l] {
-				transmitted := m.Weight(l, f.To, f.From) * yPrev[f.From]
-				sF[f.To] += inj.SynapseDelta(f, transmitted)
-			}
-			evalSkip(act, sF, cp.overridden[l])
-			if _, isCrash := inj.(Crash); isCrash {
-				for _, f := range cp.neuronsAt[l] {
-					sF[f.Index] = 0
-				}
-			} else {
-				tr := bp.trs[p]
-				for _, f := range cp.neuronsAt[l] {
-					sF[f.Index] = inj.NeuronValue(f, tr.Outputs[l-1][f.Index])
-				}
-			}
-		}
-	}
-
-	for p := 0; p < n; p++ {
-		cp := bp.lanes[p]
-		tr := bp.trs[p]
-		yF := tr.Outputs[L-1]
-		if cp.diverge <= L {
-			yF = bp.sc.Layer(L)[p]
-		}
-		faulted := m.OutputSum(yF)
-		for _, f := range cp.synapsesAt[L+1] {
-			transmitted := m.Weight(L+1, f.To, f.From) * yF[f.From]
-			faulted += injs[p].SynapseDelta(f, transmitted)
-		}
-		out[p] = math.Abs(tr.Output - faulted)
-	}
-}
-
-// evalLanesDAG is the level-scheduled form of evalLanes for
-// arbitrary-topology models. Each lane owns a per-level pointer array:
-// levels off the lane's divergence frontier alias the clean trace and
-// cost nothing, frontier levels evaluate into the lane's scratch — and
-// all lanes live at a level gather together through the multi-lane
-// sparse kernel, one pass over the level's edge list per lane pair.
-// Per lane the arithmetic replays evalDAG's trace path exactly, so
-// results stay bit-identical to the scalar engine for every injector.
-func (bp *BatchPlan) evalLanesDAG(injs []Injector, out []float64) {
 	m := bp.dag
 	L := m.NumLayers()
 	act := m.Activation()
 	bp.sc.Ensure(bp.net, len(bp.lanes))
-	n := bp.active
 
 	// Wire each lane's level pointers to its clean trace; frontier
 	// levels are repointed at scratch as the sweep computes them.
@@ -298,8 +172,7 @@ func (bp *BatchPlan) evalLanesDAG(injs []Injector, out []float64) {
 				// Divergent level with clean sources and no synapse
 				// faults: the received sums equal the clean ones, so
 				// non-overridden outputs are bitwise the trace's — copy
-				// and override instead of joining the kernel batch (the
-				// DAG form of the layered divergence-layer fast path).
+				// and override instead of joining the kernel batch.
 				tr := bp.trs[p]
 				dst := lanebufs[p]
 				copy(dst, tr.Outputs[l-1])
@@ -319,7 +192,7 @@ func (bp *BatchPlan) evalLanesDAG(injs []Injector, out []float64) {
 		// One sweep over the level's edge list serves every live lane.
 		nn.LevelSumsLanesModel(m, l, bp.dsts[:k], bp.srcs[:k])
 		// Fault application per lane, in the exact order of the scalar
-		// level-scheduled engine: synapse deltas on the received sums
+		// engine: synapse deltas on the received sums
 		// (in-edge ordinal addressing — a fault can sit on a skip edge),
 		// activation, then neuron overrides reading nominals off the
 		// clean trace. Overridden rows are computed and then overwritten,

@@ -62,10 +62,12 @@ func needsNominal(inj Injector) bool {
 type CompiledPlan struct {
 	net  nn.Model
 	plan Plan
-	// dag is non-nil when net has arbitrary topology; evaluation then
-	// runs the level-scheduled sweep (evalDAG) and addresses synapse
-	// faults by in-edge ordinal (see nn.DAGModel).
-	dag nn.DAGModel
+	// dag is net's level view (nn.DAGOf), over which Reset computes the
+	// divergence frontier. Native DAG models also evaluate on it
+	// (evalDAG, synapse faults addressed by in-edge ordinal); layered
+	// models keep eval's fused clean+damaged layer sweep.
+	dag    nn.DAGModel
+	native bool
 
 	// neuronsAt[l] / synapsesAt[l] hold the faults acting on layer l
 	// (neurons: 1..L; synapses: 1..L+1).
@@ -81,11 +83,11 @@ type CompiledPlan struct {
 	// none).
 	diverge     int
 	lastNominal int
-	// frontier[l] (DAG models only) reports whether level l's faulted
-	// outputs can differ from the clean pass — the DAG generalisation of
-	// the single diverge layer: a level is on the divergence frontier if
-	// it hosts faults or reads a frontier level. srcDirty[l] reports the
-	// latter alone (some source level is on the frontier).
+	// frontier[l] reports whether level l's faulted outputs can differ
+	// from the clean pass — the DAG generalisation of the single diverge
+	// layer: a level is on the divergence frontier if it hosts faults or
+	// reads a frontier level. srcDirty[l] reports the latter alone (some
+	// source level is on the frontier).
 	frontier []bool
 	srcDirty []bool
 }
@@ -94,7 +96,8 @@ type CompiledPlan struct {
 // plan addresses layers outside the model (use Plan.Validate for full
 // validation with errors).
 func Compile(m nn.Model, p Plan) *CompiledPlan {
-	cp := &CompiledPlan{net: m}
+	_, native := m.(nn.DAGModel)
+	cp := &CompiledPlan{net: m, dag: nn.DAGOf(m), native: native}
 	cp.Reset(p)
 	return cp
 }
@@ -162,26 +165,23 @@ func (cp *CompiledPlan) Reset(p Plan) {
 			cp.lastNominal = l
 		}
 	}
-	cp.dag, _ = cp.net.(nn.DAGModel)
-	if cp.dag != nil {
-		if cap(cp.frontier) < L+2 {
-			cp.frontier = make([]bool, L+2)
-			cp.srcDirty = make([]bool, L+2)
-		}
-		cp.frontier = cp.frontier[:L+2]
-		cp.srcDirty = cp.srcDirty[:L+2]
-		cp.frontier[0], cp.srcDirty[0] = false, false
-		for l := 1; l <= L+1; l++ {
-			dirty := false
-			for _, v := range cp.dag.SrcLevels(l) {
-				if v >= 1 && cp.frontier[v] {
-					dirty = true
-					break
-				}
+	if cap(cp.frontier) < L+2 {
+		cp.frontier = make([]bool, L+2)
+		cp.srcDirty = make([]bool, L+2)
+	}
+	cp.frontier = cp.frontier[:L+2]
+	cp.srcDirty = cp.srcDirty[:L+2]
+	cp.frontier[0], cp.srcDirty[0] = false, false
+	for l := 1; l <= L+1; l++ {
+		dirty := false
+		for _, v := range cp.dag.SrcLevels(l) {
+			if v >= 1 && cp.frontier[v] {
+				dirty = true
+				break
 			}
-			cp.srcDirty[l] = dirty
-			cp.frontier[l] = dirty || len(cp.neuronsAt[l]) > 0 || len(cp.synapsesAt[l]) > 0
 		}
+		cp.srcDirty[l] = dirty
+		cp.frontier[l] = dirty || len(cp.neuronsAt[l]) > 0 || len(cp.synapsesAt[l]) > 0
 	}
 	cp.plan = p
 }
@@ -258,7 +258,7 @@ func (cp *CompiledPlan) ErrorOnTrace(inj Injector, tr *nn.Trace) float64 {
 // output even without a trace. Returns the damaged output and, when
 // available, the clean output.
 func (cp *CompiledPlan) eval(e *planEval, inj Injector, x []float64, tr *nn.Trace, needClean bool) (faulted, clean float64) {
-	if cp.dag != nil {
+	if cp.native {
 		return cp.evalDAG(e, inj, x, tr, needClean)
 	}
 	m := cp.net

@@ -27,7 +27,8 @@ type NeuronFault struct {
 // in layer-1; for DAG models (nn.DAGModel) From is the receiving
 // neuron's in-edge ORDINAL — the k-th edge in ascending (srcLevel,
 // srcIdx) order, 0 <= From < FanIn(Layer, To) — so a fault can address
-// a skip edge (nn.InEdgeOf resolves either form uniformly).
+// a skip edge. Both forms are the in-edge ordinal of the model's
+// nn.DAGOf view.
 type SynapseFault struct {
 	Layer, To, From int
 }
@@ -84,6 +85,7 @@ func (p Plan) Validate(n nn.Model) error {
 		seen[f] = true
 	}
 	seenSyn := map[SynapseFault]bool{}
+	dm := nn.DAGOf(n)
 	for _, f := range p.Synapses {
 		if f.Layer < 1 || f.Layer > L+1 {
 			return fmt.Errorf("fault: synapse layer %d out of range", f.Layer)
@@ -91,7 +93,7 @@ func (p Plan) Validate(n nn.Model) error {
 		if f.To < 0 || f.To >= n.Width(f.Layer) {
 			return fmt.Errorf("fault: synapse receiver %d out of range for layer %d", f.To, f.Layer)
 		}
-		if f.From < 0 || f.From >= nn.FanInOf(n, f.Layer, f.To) {
+		if f.From < 0 || f.From >= dm.FanIn(f.Layer, f.To) {
 			return fmt.Errorf("fault: synapse sender %d out of range for layer %d", f.From, f.Layer)
 		}
 		if seenSyn[f] {

@@ -137,7 +137,7 @@ func (g ClippedNoise) SynapseDelta(SynapseFault, float64) float64 { return g.dra
 // Deterministic and safe for concurrent use. Construct via the registry
 // ("bitflip", Params{Net, Bits, Bit}) or quant.BitFlipInjector.
 type BitFlip struct {
-	net    nn.Model
+	dag    nn.DAGModel // nn.DAGOf of the model the weights come from
 	bits   int
 	bit    int
 	actCap float64
@@ -167,7 +167,7 @@ func NewBitFlip(n nn.Model, bits, bit int) (BitFlip, error) {
 	}
 	act := n.Activation()
 	actCap := math.Max(math.Abs(act.Min()), math.Abs(act.Max()))
-	return BitFlip{net: n, bits: bits, bit: bit, actCap: actCap, steps: steps}, nil
+	return BitFlip{dag: nn.DAGOf(n), bits: bits, bit: bit, actCap: actCap, steps: steps}, nil
 }
 
 // flip encodes v on the sign-magnitude grid with step q, flips the
@@ -197,11 +197,11 @@ func (b BitFlip) NeuronValue(_ NeuronFault, nominal float64) float64 {
 	return b.flip(nominal, b.actCap/levels)
 }
 
-// weightAt looks the faulty synapse's weight up in the model. The
-// fault's From field is a sender index on layered models and an in-edge
-// ordinal on DAG models; nn.InEdgeOf resolves either form.
+// weightAt looks the faulty synapse's weight up in the model: From is
+// an in-edge ordinal of the model's level view (the sender index on
+// layered models).
 func (b BitFlip) weightAt(f SynapseFault) float64 {
-	_, _, w := nn.InEdgeOf(b.net, f.Layer, f.To, f.From)
+	_, _, w := b.dag.InEdge(f.Layer, f.To, f.From)
 	return w
 }
 

@@ -90,51 +90,37 @@ func AdversarialNeuronPlan(n nn.Model, perLayer []int) Plan {
 
 // RandomSynapsePlan fails perLayer[l-1] uniformly chosen distinct
 // synapses into each layer l (perLayer has length L+1; the last entry
-// addresses the output synapses). For DAG models the draw runs over the
-// layer's REAL edges — skip edges included, absent edges excluded — and
-// From is the in-edge ordinal; layered models keep the historical
-// virtual-dense draw (so seeded plans stay reproducible).
+// addresses the output synapses). The draw runs over the layer's edges
+// in the model's nn.DAGOf view — for graph models the REAL edges, skip
+// edges included and absent edges excluded; for dense and conv models
+// the virtual dense connectivity — and From is the in-edge ordinal
+// (the previous-layer index on layered models).
 func RandomSynapsePlan(r *rng.Rand, n nn.Model, perLayer []int) Plan {
 	L := n.NumLayers()
 	if len(perLayer) != L+1 {
 		panic("fault: synapse perLayer length must be L+1")
 	}
-	dm, isDAG := nn.AsDAG(n)
+	dm := nn.DAGOf(n)
 	var p Plan
 	for l := 1; l <= L+1; l++ {
 		k := perLayer[l-1]
-		if isDAG {
-			rows := n.Width(l)
-			// Cumulative fan-in: edge e of the layer belongs to the node
-			// whose cumulative range contains it.
-			cum := make([]int, rows+1)
-			for to := 0; to < rows; to++ {
-				cum[to+1] = cum[to] + dm.FanIn(l, to)
-			}
-			total := cum[rows]
-			if k > total {
-				panic("fault: more synapse faults than synapses in layer")
-			}
-			for _, flat := range r.Sample(total, k) {
-				to := sort.SearchInts(cum, flat+1) - 1
-				p.Synapses = append(p.Synapses, SynapseFault{
-					Layer: l,
-					To:    to,
-					From:  flat - cum[to],
-				})
-			}
-			continue
-		}
 		rows := n.Width(l)
-		cols := n.Width(l - 1)
-		if k > rows*cols {
+		// Cumulative fan-in: edge e of the layer belongs to the node
+		// whose cumulative range contains it.
+		cum := make([]int, rows+1)
+		for to := 0; to < rows; to++ {
+			cum[to+1] = cum[to] + dm.FanIn(l, to)
+		}
+		total := cum[rows]
+		if k > total {
 			panic("fault: more synapse faults than synapses in layer")
 		}
-		for _, flat := range r.Sample(rows*cols, k) {
+		for _, flat := range r.Sample(total, k) {
+			to := sort.SearchInts(cum, flat+1) - 1
 			p.Synapses = append(p.Synapses, SynapseFault{
 				Layer: l,
-				To:    flat / cols,
-				From:  flat % cols,
+				To:    to,
+				From:  flat - cum[to],
 			})
 		}
 	}
@@ -142,55 +128,31 @@ func RandomSynapsePlan(r *rng.Rand, n nn.Model, perLayer []int) Plan {
 }
 
 // AdversarialSynapsePlan fails the largest-magnitude synapses into each
-// layer. DAG models rank their real edges (skip edges included) and
-// address the chosen ones by in-edge ordinal.
+// layer, ranking the edges of the model's nn.DAGOf view (skip edges
+// included on graph models) and addressing the chosen ones by in-edge
+// ordinal.
 func AdversarialSynapsePlan(n nn.Model, perLayer []int) Plan {
 	L := n.NumLayers()
 	if len(perLayer) != L+1 {
 		panic("fault: synapse perLayer length must be L+1")
 	}
-	dm, isDAG := nn.AsDAG(n)
+	dm := nn.DAGOf(n)
+	type scored struct {
+		to, ord int
+		w       float64
+	}
 	var p Plan
 	for l := 1; l <= L+1; l++ {
 		k := perLayer[l-1]
 		if k == 0 {
 			continue
 		}
-		if isDAG {
-			type scored struct {
-				to, ord int
-				w       float64
-			}
-			var all []scored
-			for to := 0; to < n.Width(l); to++ {
-				d := dm.FanIn(l, to)
-				for e := 0; e < d; e++ {
-					_, _, w := dm.InEdge(l, to, e)
-					all = append(all, scored{to, e, math.Abs(w)})
-				}
-			}
-			sort.Slice(all, func(a, b int) bool { return all[a].w > all[b].w })
-			if k > len(all) {
-				panic("fault: more synapse faults than synapses in layer")
-			}
-			for _, s := range all[:k] {
-				p.Synapses = append(p.Synapses, SynapseFault{Layer: l, To: s.to, From: s.ord})
-			}
-			continue
-		}
-		rows := n.Width(l)
-		cols := n.Width(l - 1)
-		weightAt := func(to, from int) float64 {
-			return math.Abs(n.Weight(l, to, from))
-		}
-		type scored struct {
-			to, from int
-			w        float64
-		}
-		all := make([]scored, 0, rows*cols)
-		for to := 0; to < rows; to++ {
-			for from := 0; from < cols; from++ {
-				all = append(all, scored{to, from, weightAt(to, from)})
+		var all []scored
+		for to := 0; to < n.Width(l); to++ {
+			d := dm.FanIn(l, to)
+			for e := 0; e < d; e++ {
+				_, _, w := dm.InEdge(l, to, e)
+				all = append(all, scored{to, e, math.Abs(w)})
 			}
 		}
 		sort.Slice(all, func(a, b int) bool { return all[a].w > all[b].w })
@@ -198,7 +160,7 @@ func AdversarialSynapsePlan(n nn.Model, perLayer []int) Plan {
 			panic("fault: more synapse faults than synapses in layer")
 		}
 		for _, s := range all[:k] {
-			p.Synapses = append(p.Synapses, SynapseFault{Layer: l, To: s.to, From: s.from})
+			p.Synapses = append(p.Synapses, SynapseFault{Layer: l, To: s.to, From: s.ord})
 		}
 	}
 	return p

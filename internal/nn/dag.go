@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"sync"
+
 	"repro/internal/activation"
 	"repro/internal/tensor"
 )
@@ -9,7 +11,8 @@ import (
 // still grouped into topological levels 1..L (level 0 is the input,
 // level L+1 the output node), but a neuron may read from ANY earlier
 // level, not just the previous one. Strictly layered models are the
-// special case where every SrcLevels(l) is {l-1}.
+// special case where every SrcLevels(l) is {l-1}; DAGOf gives every
+// Model this view.
 //
 // Addressing convention: because a node's inputs no longer form one
 // contiguous previous layer, its in-edges are addressed by ORDINAL —
@@ -44,10 +47,62 @@ type DAGModel interface {
 	OutputSumLevels(ys [][]float64) float64
 }
 
-// AsDAG returns m's DAG view when it has one.
-func AsDAG(m Model) (DAGModel, bool) {
-	dm, ok := m.(DAGModel)
-	return dm, ok
+// DAGOf returns m's level view: m itself when it is a DAGModel, and
+// otherwise a chain view in which layer l's only source level is l-1.
+// In the chain view in-edge ordinal k of a neuron is source index k of
+// the previous layer (the virtual dense connectivity, zeros included for
+// conv layers), and the level kernels forward to m's layer kernels on
+// ys[l-1], so level-scheduled engines reproduce the layered arithmetic
+// bit for bit. The view's methods allocate nothing and, like the model,
+// are safe for concurrent use.
+func DAGOf(m Model) DAGModel {
+	if dm, ok := m.(DAGModel); ok {
+		return dm
+	}
+	src := make([]int, m.NumLayers()+1)
+	for v := range src {
+		src[v] = v
+	}
+	return &chain{Model: m, src: src}
+}
+
+// chain is DAGOf's view of a strictly layered model.
+type chain struct {
+	Model
+	src []int // src[v] = v; SrcLevels(l) is src[l-1:l]
+}
+
+func (c *chain) SrcLevels(l int) []int { return c.src[l-1 : l : l] }
+
+func (c *chain) FanIn(l, _ int) int { return c.Width(l - 1) }
+
+func (c *chain) InEdge(l, to, k int) (srcLevel, srcIdx int, w float64) {
+	return l - 1, k, c.Weight(l, to, k)
+}
+
+func (c *chain) LevelSums(l int, dst []float64, ys [][]float64, skip []int) {
+	c.LayerSums(l, dst, ys[l-1], skip)
+}
+
+func (c *chain) OutputSumLevels(ys [][]float64) float64 {
+	return c.OutputSum(ys[len(c.src)-1])
+}
+
+// laneArgs recycles the per-lane source views of chain.LevelSumsLanes.
+var laneArgs = sync.Pool{New: func() any { return new([][]float64) }}
+
+// LevelSumsLanes runs the layered model's multi-lane kernel on every
+// lane's level l-1 outputs.
+func (c *chain) LevelSumsLanes(l int, dsts [][]float64, srcs [][][]float64) {
+	buf := laneArgs.Get().(*[][]float64)
+	ys := (*buf)[:0]
+	for _, s := range srcs {
+		ys = append(ys, s[l-1])
+	}
+	LayerSumsLanesModel(c.Model, l, dsts, ys)
+	clear(ys)
+	*buf = ys
+	laneArgs.Put(buf)
 }
 
 // IsLayered reports whether m is expressible as a strict layer chain:
@@ -65,25 +120,6 @@ func IsLayered(m Model) bool {
 		}
 	}
 	return true
-}
-
-// FanInOf returns the in-degree of neuron `to` of layer l for any
-// Model: DAG models answer exactly; layered models have full fan-in
-// Width(l-1).
-func FanInOf(m Model, l, to int) int {
-	if dm, ok := m.(DAGModel); ok {
-		return dm.FanIn(l, to)
-	}
-	return m.Width(l - 1)
-}
-
-// InEdgeOf returns the k-th in-edge of neuron `to` of layer l for any
-// Model: layered models map ordinal k to source (l-1, k).
-func InEdgeOf(m Model, l, to, k int) (srcLevel, srcIdx int, w float64) {
-	if dm, ok := m.(DAGModel); ok {
-		return dm.InEdge(l, to, k)
-	}
-	return l - 1, k, m.Weight(l, to, k)
 }
 
 // ensureLevels sizes sc.levels for L+1 level pointers (grow-only).

@@ -50,8 +50,8 @@ import (
 //     tensor.ConvAcc and graph.Net.
 //
 //   - Optional refinements: LaneSummer (multi-lane sums), DAGModel
-//     (arbitrary-topology models; its InEdge/FanIn ordinal addressing
-//     supersedes Weight for engines that support it), and
+//     (arbitrary-topology models; DAGOf gives every model this view,
+//     and its InEdge/FanIn ordinal addressing supersedes Weight), and
 //     fault.OutgoingScorer (per-neuron outgoing weight mass) are
 //     discovered by type assertion with generic fallbacks.
 type Model interface {
