@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-snapshot fuzz-smoke staticcheck vuln serve-smoke load load-smoke
+.PHONY: ci fmt vet build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store bench-snapshot fuzz-smoke staticcheck vuln serve-smoke load load-smoke
 
-ci: fmt vet staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch fuzz-smoke serve-smoke load-smoke
+ci: fmt vet staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store fuzz-smoke serve-smoke load-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "$$out"; echo "gofmt: files need formatting"; exit 1; }
@@ -72,6 +72,12 @@ bench-graph:
 bench-graph-batch:
 	NEUROFAIL_BENCH_GRAPH_BATCH=1 $(GO) test -run 'TestGraphBatchSpeedSmoke' -count=1 -v .
 	$(GO) test -run '^$$' -bench 'BenchmarkGraph(BatchedSweep|Exhaustive)' -benchtime=5x -benchmem .
+
+# Store index smoke: Put, an unknown-ID Resolve and Models at 100 and
+# 4,000 stored artifacts. No threshold — the columns show whether a
+# per-request or per-write cost grows with the artifact count.
+bench-store:
+	$(GO) test -run '^$$' -bench 'BenchmarkStore' -benchtime=20x -benchmem ./internal/store
 
 # Regenerates a BENCH_N.json skeleton from the gated benchmark suite:
 # runs the acceptance benchmarks, parses the `go test -bench` output,

@@ -202,7 +202,7 @@ func (s *Server) storedNetwork(ref string) (*cachedNet, error) {
 	}
 	entry, err := s.st.Resolve(ref)
 	if err != nil {
-		return nil, &httpError{status: 404, msg: err.Error()}
+		return nil, storeError(err)
 	}
 	s.mu.RLock()
 	cn := s.nets[entry.ID]
@@ -210,9 +210,12 @@ func (s *Server) storedNetwork(ref string) (*cachedNet, error) {
 	if cn != nil {
 		return cn, nil
 	}
+	if !store.IsModelKind(entry.Kind) {
+		return nil, &httpError{status: 422, msg: fmt.Sprintf("artifact %s is a %q, not a model", store.ShortID(entry.ID), entry.Kind)}
+	}
 	m, entry, err := s.st.Model(entry.ID)
 	if err != nil {
-		return nil, &httpError{status: 404, msg: err.Error()}
+		return nil, storeError(err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

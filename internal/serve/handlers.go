@@ -52,6 +52,17 @@ func fail(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, err.Error())
 }
 
+// storeError maps a store lookup failure to its response: a reference
+// naming no stored artifact is the client's 404, while a stored object
+// that cannot be read back intact (or an unreadable index) is the
+// server's 500.
+func storeError(err error) error {
+	if errors.Is(err, store.ErrNotFound) {
+		return &httpError{status: http.StatusNotFound, msg: err.Error()}
+	}
+	return err
+}
+
 // decode parses the request body strictly: unknown fields, trailing
 // data and type mismatches are client errors; a body exceeding the
 // route's limit is 413.
@@ -529,7 +540,7 @@ func (s *Server) handleQuantize(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, err := s.st.Resolve(req.NetworkID)
 	if err != nil {
-		fail(w, &httpError{status: 404, msg: err.Error()})
+		fail(w, storeError(err))
 		return
 	}
 	if entry.Kind != store.KindNetwork {
@@ -548,7 +559,7 @@ func (s *Server) handleQuantize(w http.ResponseWriter, r *http.Request) {
 	// write failures are ours (500).
 	net, _, err := s.st.Network(entry.ID)
 	if err != nil {
-		fail(w, &httpError{status: 404, msg: err.Error()})
+		fail(w, storeError(err))
 		return
 	}
 	q, err := quant.Quantize(net, opts)

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -347,6 +349,54 @@ func TestMalformedRequests(t *testing.T) {
 		if !strings.Contains(resp.Error, tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, resp.Error, tc.wantErr)
 		}
+	}
+}
+
+// TestStoredNetworkErrors separates the client's lookup errors from the
+// store's damage: an unknown ID is 404, a non-model artifact 422, and a
+// stored object whose bytes no longer hash to its ID 500.
+func TestStoredNetworkErrors(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := st.PutNetwork(testNet(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes, err := st.PutRaw(store.KindOutcomes, []byte(`[]`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := filepath.Join(dir, "objects", entry.ID[:2], entry.ID+".json")
+	if err := os.WriteFile(object, []byte(`{"tampered": true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Store: st, Workers: 1})
+	t.Cleanup(s.Close)
+	for _, tc := range []struct {
+		name, id string
+		status   int
+		wantErr  string
+	}{
+		{"unknown", "ffffffffffff", 404, "no artifact"},
+		{"not a model", outcomes.ID, 422, "not a model"},
+		{"tampered", entry.ID, 500, "corrupted"},
+	} {
+		var resp struct {
+			Error string `json:"error"`
+		}
+		code := do(t, s, "POST", "/v1/bounds", `{"network_id": "`+tc.id+`", "faults": 1}`, &resp)
+		if code != tc.status || !strings.Contains(resp.Error, tc.wantErr) {
+			t.Errorf("%s: status %d (%q), want %d containing %q", tc.name, code, resp.Error, tc.status, tc.wantErr)
+		}
+	}
+	var resp struct {
+		Error string `json:"error"`
+	}
+	if code := do(t, s, "POST", "/v1/quantize", `{"network_id": "`+entry.ID+`"}`, &resp); code != 500 || !strings.Contains(resp.Error, "corrupted") {
+		t.Errorf("quantize of a tampered network: status %d (%q), want 500 containing \"corrupted\"", code, resp.Error)
 	}
 }
 

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/conv"
 	"repro/internal/graph"
@@ -74,7 +73,7 @@ func (s *Store) Model(ref string) (nn.Model, Entry, error) {
 	if err != nil {
 		return nil, Entry{}, err
 	}
-	if e.Kind != KindNetwork && e.Kind != KindConv && e.Kind != KindGraph {
+	if !IsModelKind(e.Kind) {
 		return nil, Entry{}, fmt.Errorf("store: artifact %s is a %q, not a model", shortID(e.ID), e.Kind)
 	}
 	m, err := conv.ParseModel(data)
@@ -84,20 +83,15 @@ func (s *Store) Model(ref string) (nn.Model, Entry, error) {
 	return m, e, nil
 }
 
+// IsModelKind reports whether artifacts of the given kind are models:
+// dense networks, conv nets or graphs.
+func IsModelKind(kind string) bool {
+	return kind == KindNetwork || kind == KindConv || kind == KindGraph
+}
+
 // Models lists every stored model entry — dense networks, conv nets
 // and graphs — oldest first with ID as the tiebreak (List's order).
-func (s *Store) Models() []Entry {
-	out := s.List(KindNetwork)
-	out = append(out, s.List(KindConv)...)
-	out = append(out, s.List(KindGraph)...)
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Created.Equal(out[j].Created) {
-			return out[i].Created.Before(out[j].Created)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
+func (s *Store) Models() []Entry { return s.collect(IsModelKind) }
 
 // QuantRecipe is the stored form of a quantised model: the content
 // address of the full-precision network plus the fixed-point format.

@@ -75,7 +75,7 @@ func putKeyed(path string, v any) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := atomicWrite(path, data); err != nil {
+	if _, err := atomicWrite(path, data); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil

@@ -15,22 +15,28 @@
 // Object files are immutable once written (writes go through a
 // temp-file + rename, so readers never observe partial objects) and are
 // plain JSON, inspectable with jq. The manifest is rewritten atomically
-// on every Put after merging the on-disk index, and Resolve falls back
-// to re-reading it on a miss, so artifacts added by another process
-// (a CLI ingest next to a running server) become visible without a
-// restart. Each object also carries its Entry as a sidecar — the
-// manifest is a derived index, and Rebuild reconstructs it from the
-// object tree if it is ever lost or clobbered.
+// on every new artifact, by concatenating each entry's compact JSON,
+// encoded once when the entry is indexed (entries are immutable). Each
+// Store remembers which version of manifest.json it last read or wrote
+// (inode, size and mtime) and re-reads the file only when a stat shows
+// another process replaced it, so artifacts added by another process (a
+// CLI ingest next to a running server) become visible without a restart,
+// and neither lookups nor writes re-parse an unchanged index. Each object
+// also carries its Entry as a sidecar — the manifest is a derived index,
+// and Rebuild reconstructs it from the object tree if it is ever lost or
+// clobbered.
 package store
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -64,13 +70,41 @@ type manifest struct {
 	Entries []Entry `json:"entries"`
 }
 
+// ErrNotFound is wrapped by Resolve, and every lookup built on it, when
+// a reference names no single stored artifact: an unknown ID, an
+// ambiguous prefix, or one too short to be a prefix.
+var ErrNotFound = errors.New("no artifact")
+
+// errCorrupt marks a manifest that exists but does not parse.
+var errCorrupt = errors.New("store: corrupt manifest")
+
+// record is one indexed entry with its compact manifest line, encoded
+// once: entries are immutable.
+type record struct {
+	Entry
+	line []byte
+}
+
+// byManifestOrder orders records oldest first with ID as the tiebreak.
+func byManifestOrder(a, b *record) int {
+	if c := a.Created.Compare(b.Created); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
+}
+
 // Store is an artifact store rooted at one directory. Methods are safe
 // for concurrent use by multiple goroutines.
 type Store struct {
 	root string
 
-	mu      sync.RWMutex
-	entries map[string]Entry
+	mu        sync.RWMutex
+	entries   map[string]*record
+	order     []*record // entries in manifest order
+	lineBytes int       // total length of the cached manifest lines
+	// seen is the version of manifest.json this store last read or
+	// wrote; nil stands for "no manifest".
+	seen os.FileInfo
 }
 
 // Open opens (creating if needed) the store rooted at dir.
@@ -81,33 +115,24 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{root: dir, entries: map[string]Entry{}}
-	data, err := os.ReadFile(s.manifestPath())
+	s := &Store{root: dir, entries: map[string]*record{}}
+	err := s.mergeManifestLocked()
 	switch {
-	case os.IsNotExist(err):
+	case errors.Is(err, errCorrupt):
+		// A corrupt manifest is recoverable state, not a fatal error:
+		// the object tree is the source of truth, the manifest only a
+		// derived index. Rebuild it, quarantining unreadable objects.
+		if _, err := s.Rebuild(); err != nil {
+			return nil, fmt.Errorf("store: manifest corrupt and rebuild failed: %w", err)
+		}
+	case err != nil:
+		return nil, err
+	case s.seen == nil && s.hasObjects():
 		// Fresh store — unless the object tree already holds artifacts,
 		// in which case the index was lost: self-heal by rebuilding it
 		// from the objects instead of serving an empty store.
-		if s.hasObjects() {
-			if _, err := s.Rebuild(); err != nil {
-				return nil, err
-			}
-		}
-	case err != nil:
-		return nil, fmt.Errorf("store: %w", err)
-	default:
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			// A corrupt manifest is recoverable state, not a fatal error:
-			// the object tree is the source of truth, the manifest only a
-			// derived index. Rebuild it, quarantining unreadable objects.
-			if _, err := s.Rebuild(); err != nil {
-				return nil, fmt.Errorf("store: manifest corrupt and rebuild failed: %w", err)
-			}
-			return s, nil
-		}
-		for _, e := range m.Entries {
-			s.entries[e.ID] = e
+		if _, err := s.Rebuild(); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
@@ -161,8 +186,8 @@ func (s *Store) PutRaw(kind string, data []byte, meta map[string]string) (Entry,
 	id := ID(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[id]; ok {
-		return e, nil
+	if r, ok := s.entries[id]; ok {
+		return r.Entry, nil
 	}
 	// Another process may have both stored this artifact and extended
 	// the manifest since we last read it: merge before deciding and
@@ -171,14 +196,14 @@ func (s *Store) PutRaw(kind string, data []byte, meta map[string]string) (Entry,
 	if err := s.mergeManifestLocked(); err != nil {
 		return Entry{}, err
 	}
-	if e, ok := s.entries[id]; ok {
-		return e, nil
+	if r, ok := s.entries[id]; ok {
+		return r.Entry, nil
 	}
 	path := s.objectPath(id)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return Entry{}, fmt.Errorf("store: %w", err)
 	}
-	if err := atomicWrite(path, data); err != nil {
+	if _, err := atomicWrite(path, data); err != nil {
 		return Entry{}, fmt.Errorf("store: %w", err)
 	}
 	e := Entry{ID: id, Kind: kind, Created: time.Now().UTC().Truncate(time.Second), Bytes: len(data), Meta: meta}
@@ -186,37 +211,45 @@ func (s *Store) PutRaw(kind string, data []byte, meta map[string]string) (Entry,
 	if err != nil {
 		return Entry{}, fmt.Errorf("store: %w", err)
 	}
-	if err := atomicWrite(s.entryPath(id), sidecar); err != nil {
+	if _, err := atomicWrite(s.entryPath(id), sidecar); err != nil {
 		return Entry{}, fmt.Errorf("store: %w", err)
 	}
-	s.entries[id] = e
+	// The entry is indexed only while its manifest commit stands: an
+	// entry the manifest never received must not answer a retry.
+	i, err := s.insertLocked(e)
+	if err != nil {
+		return Entry{}, err
+	}
 	if err := s.writeManifestLocked(); err != nil {
+		s.removeLocked(i)
 		return Entry{}, err
 	}
 	return e, nil
 }
 
 // Resolve returns the entry for an ID or a unique ID prefix (at least 6
-// hex characters). Unknown and ambiguous references are errors. A miss
-// re-reads the on-disk manifest first, so artifacts stored by another
-// process resolve without reopening the store.
+// hex characters). Unknown and ambiguous references are errors wrapping
+// ErrNotFound. A miss re-reads the on-disk manifest first if another
+// process replaced it, so artifacts stored by another process resolve
+// without reopening the store.
 func (s *Store) Resolve(ref string) (Entry, error) {
 	ref = strings.ToLower(strings.TrimSpace(ref))
 	if len(ref) < 6 {
-		return Entry{}, fmt.Errorf("store: id %q too short (need >= 6 hex chars)", ref)
+		return Entry{}, fmt.Errorf("store: id %q too short (need >= 6 hex chars): %w", ref, ErrNotFound)
 	}
 	s.mu.RLock()
 	e, err := s.resolveLocked(ref)
+	fresh := err == nil || s.freshLocked()
 	s.mu.RUnlock()
-	if err == nil {
-		return e, nil
+	if fresh {
+		return e, err
 	}
 	// The miss may just be staleness: merge the on-disk manifest and
 	// retry once.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if mergeErr := s.mergeManifestLocked(); mergeErr != nil {
-		return Entry{}, mergeErr
+	if err := s.mergeManifestLocked(); err != nil {
+		return Entry{}, err
 	}
 	return s.resolveLocked(ref)
 }
@@ -224,46 +257,111 @@ func (s *Store) Resolve(ref string) (Entry, error) {
 // resolveLocked resolves an exact ID or unique prefix; s.mu must be
 // held (read or write).
 func (s *Store) resolveLocked(ref string) (Entry, error) {
-	if e, ok := s.entries[ref]; ok {
-		return e, nil
+	if r, ok := s.entries[ref]; ok {
+		return r.Entry, nil
 	}
 	var found []Entry
-	for id, e := range s.entries {
+	for id, r := range s.entries {
 		if strings.HasPrefix(id, ref) {
-			found = append(found, e)
+			found = append(found, r.Entry)
 		}
 	}
 	switch len(found) {
 	case 0:
-		return Entry{}, fmt.Errorf("store: no artifact with id %q", ref)
+		return Entry{}, fmt.Errorf("store: %w with id %q", ErrNotFound, ref)
 	case 1:
 		return found[0], nil
 	default:
-		return Entry{}, fmt.Errorf("store: id prefix %q is ambiguous (%d matches)", ref, len(found))
+		return Entry{}, fmt.Errorf("store: id prefix %q is ambiguous (%d matches): %w", ref, len(found), ErrNotFound)
 	}
 }
 
+// freshLocked reports whether manifest.json is still the version this
+// store last read or wrote; s.mu must be held (read or write). A stat
+// that fails other than by absence reports a change, so the caller's
+// merge surfaces the error.
+func (s *Store) freshLocked() bool {
+	fi, err := os.Stat(s.manifestPath())
+	if err != nil {
+		return os.IsNotExist(err) && s.seen == nil
+	}
+	return sameVersion(fi, s.seen)
+}
+
+// sameVersion reports whether two stats of manifest.json name the same
+// version of it. Writers replace the file by rename, so a new version
+// is a new inode; size and mtime guard against inode reuse.
+func sameVersion(a, b os.FileInfo) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
+}
+
 // mergeManifestLocked folds the on-disk manifest into the in-memory
-// index (in-memory entries win on conflict — both name the same
-// immutable bytes); s.mu must be held for writing.
+// index unless it is the version the store already holds (in-memory
+// entries win on conflict — both name the same immutable bytes); s.mu
+// must be held for writing.
 func (s *Store) mergeManifestLocked() error {
-	data, err := os.ReadFile(s.manifestPath())
+	f, err := os.Open(s.manifestPath())
 	if os.IsNotExist(err) {
+		s.seen = nil
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	defer f.Close()
+	// Stamp the version from the descriptor the bytes are read from, so
+	// a rename landing after this point shows as a change next time.
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if sameVersion(fi, s.seen) {
+		return nil
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("store: parsing %s: %w", s.manifestPath(), err)
+		return fmt.Errorf("%w %s: %v", errCorrupt, s.manifestPath(), err)
 	}
 	for _, e := range m.Entries {
 		if _, ok := s.entries[e.ID]; !ok {
-			s.entries[e.ID] = e
+			if _, err := s.insertLocked(e); err != nil {
+				return err
+			}
 		}
 	}
+	s.seen = fi
 	return nil
+}
+
+// insertLocked indexes e at its place in manifest order and returns
+// that position; s.mu must be held for writing.
+func (s *Store) insertLocked(e Entry) (int, error) {
+	line, err := json.Marshal(e)
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	r := &record{Entry: e, line: line}
+	i, _ := slices.BinarySearchFunc(s.order, r, byManifestOrder)
+	s.order = slices.Insert(s.order, i, r)
+	s.entries[e.ID] = r
+	s.lineBytes += len(line)
+	return i, nil
+}
+
+// removeLocked un-indexes the entry at position i of the manifest
+// order; s.mu must be held for writing.
+func (s *Store) removeLocked(i int) {
+	r := s.order[i]
+	delete(s.entries, r.ID)
+	s.lineBytes -= len(r.line)
+	s.order = slices.Delete(s.order, i, i+1)
 }
 
 // RebuildReport summarises a manifest reconstruction.
@@ -291,7 +389,7 @@ func (s *Store) Rebuild() (RebuildReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("store: %w", err)
 	}
-	entries := map[string]Entry{}
+	s.entries, s.order, s.lineBytes = map[string]*record{}, nil, 0
 	for _, path := range objects {
 		name := filepath.Base(path)
 		if strings.HasSuffix(name, ".entry.json") {
@@ -318,13 +416,14 @@ func (s *Store) Rebuild() (RebuildReport, error) {
 			e = Entry{ID: id, Kind: sniffKind(data), Created: created, Bytes: len(data),
 				Meta: map[string]string{"recovered": "rebuild"}}
 			if sidecar, err := json.MarshalIndent(e, "", " "); err == nil {
-				_ = atomicWrite(s.entryPath(id), sidecar)
+				_, _ = atomicWrite(s.entryPath(id), sidecar)
 			}
 		}
-		entries[id] = e
+		if _, err := s.insertLocked(e); err != nil {
+			return rep, err
+		}
 	}
-	s.entries = entries
-	rep.Indexed = len(entries)
+	rep.Indexed = len(s.order)
 	if err := s.writeManifestLocked(); err != nil {
 		return rep, err
 	}
@@ -421,74 +520,91 @@ func (s *Store) Get(ref string, v any) (Entry, error) {
 
 // List returns the entries of the given kind ("" lists everything),
 // oldest first with ID as the tiebreak. The on-disk manifest is merged
-// first so other processes' artifacts are listed too.
+// first if another process replaced it, so other processes' artifacts
+// are listed too.
 func (s *Store) List(kind string) []Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Best effort: a damaged manifest should not take listing down with
-	// it — the in-memory index still serves.
-	_ = s.mergeManifestLocked()
-	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		if kind == "" || e.Kind == kind {
-			out = append(out, e)
+	return s.collect(func(k string) bool { return kind == "" || k == kind })
+}
+
+// collect returns the entries whose kind keep accepts, in manifest
+// order.
+func (s *Store) collect(keep func(kind string) bool) []Entry {
+	s.mu.RLock()
+	if !s.freshLocked() {
+		s.mu.RUnlock()
+		s.mu.Lock()
+		// Best effort: a damaged manifest should not take listing down
+		// with it — the in-memory index still serves.
+		_ = s.mergeManifestLocked()
+		s.mu.Unlock()
+		s.mu.RLock()
+	}
+	defer s.mu.RUnlock()
+	out := make([]Entry, 0, len(s.order))
+	for _, r := range s.order {
+		if keep(r.Kind) {
+			out = append(out, r.Entry)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Created.Equal(out[j].Created) {
-			return out[i].Created.Before(out[j].Created)
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }
 
-// writeManifestLocked rewrites the manifest atomically; s.mu must be
-// held for writing.
+// writeManifestLocked rewrites the manifest atomically from the cached
+// entry lines; s.mu must be held for writing.
 func (s *Store) writeManifestLocked() error {
-	m := manifest{Entries: make([]Entry, 0, len(s.entries))}
-	for _, e := range s.entries {
-		m.Entries = append(m.Entries, e)
-	}
-	sort.Slice(m.Entries, func(i, j int) bool {
-		if !m.Entries[i].Created.Equal(m.Entries[j].Created) {
-			return m.Entries[i].Created.Before(m.Entries[j].Created)
+	const head, tail = `{"entries": [`, "\n]}\n"
+	data := make([]byte, 0, len(head)+s.lineBytes+2*len(s.order)+len(tail))
+	data = append(data, head...)
+	for i, r := range s.order {
+		if i > 0 {
+			data = append(data, ',')
 		}
-		return m.Entries[i].ID < m.Entries[j].ID
-	})
-	data, err := json.MarshalIndent(m, "", " ")
+		data = append(data, '\n')
+		data = append(data, r.line...)
+	}
+	data = append(data, tail...)
+	fi, err := atomicWrite(s.manifestPath(), data)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := atomicWrite(s.manifestPath(), data); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
+	s.seen = fi
 	return nil
 }
 
+// renameFile installs a written temp file; a variable so tests can fail
+// one commit.
+var renameFile = os.Rename
+
 // atomicWrite writes data to path via a temp file + rename so readers
-// never observe a partial file.
-func atomicWrite(path string, data []byte) error {
+// never observe a partial file. It returns the stat of the file as
+// installed, taken before the rename (which keeps the inode), so a
+// later replacement by another writer can never pass for this version.
+func atomicWrite(path string, data []byte) (os.FileInfo, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return err
+		return nil, err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return nil, err
 	}
 	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return nil, err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	fi, err := os.Stat(tmp.Name())
+	if err != nil {
 		os.Remove(tmp.Name())
-		return err
+		return nil, err
 	}
-	return nil
+	if err := renameFile(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return nil, err
+	}
+	return fi, nil
 }
