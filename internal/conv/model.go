@@ -98,34 +98,6 @@ func (n *Net) LayerSums(l int, dst, y []float64, _ []int) {
 	}
 }
 
-// LayerSums2 is the fused two-input sweep.
-func (n *Net) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
-	lay := n.Layers[l-1]
-	field := lay.Field()
-	positions := len(y1) - field + 1
-	addBias := n.anyBias()
-	acc := tensor.NewConvAcc2(len(y1))
-	for f := 0; f < lay.Filters(); f++ {
-		kernel := lay.Kernels.Row(f)
-		bias := 0.0
-		if lay.Bias != nil {
-			bias = lay.Bias[f]
-		}
-		base := f * positions
-		for p := 0; p < positions; p++ {
-			acc.Reset()
-			acc.Add(kernel, y1, y2, p)
-			s1, s2 := acc.Sums()
-			if addBias {
-				s1 += bias
-				s2 += bias
-			}
-			dst1[base+p] = s1
-			dst2[base+p] = s2
-		}
-	}
-}
-
 // Weight returns the virtual dense synapse weight into neuron `to` of
 // layer l from neuron `from` of layer l-1: the shared kernel value when
 // `from` falls inside `to`'s receptive field, 0 outside.
@@ -302,42 +274,6 @@ func (n *Net2D) LayerSums(l int, dst, y []float64, _ []int) {
 					s += bias
 				}
 				dst[base+r*outW+cx] = s
-			}
-		}
-	}
-}
-
-// LayerSums2 is the fused two-input sweep.
-func (n *Net2D) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
-	inC, inH, inW := n.dimAt(l - 1)
-	lay := n.Layers[l-1]
-	field := lay.Field
-	outH, outW := inH-field+1, inW-field+1
-	addBias := n.anyBias()
-	acc := tensor.NewConvAcc2(inC * inH * inW)
-	for f := 0; f < lay.Filters(); f++ {
-		kern := lay.Kernels[f]
-		bias := 0.0
-		if lay.Bias != nil {
-			bias = lay.Bias[f]
-		}
-		base := f * outH * outW
-		for r := 0; r < outH; r++ {
-			for cx := 0; cx < outW; cx++ {
-				acc.Reset()
-				for c := 0; c < inC; c++ {
-					krow := kern.Row(c)
-					for kr := 0; kr < field; kr++ {
-						acc.Add(krow[kr*field:(kr+1)*field], y1, y2, c*inH*inW+(r+kr)*inW+cx)
-					}
-				}
-				s1, s2 := acc.Sums()
-				if addBias {
-					s1 += bias
-					s2 += bias
-				}
-				dst1[base+r*outW+cx] = s1
-				dst2[base+r*outW+cx] = s2
 			}
 		}
 	}

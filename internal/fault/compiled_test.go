@@ -139,13 +139,17 @@ func testInjectors(n *nn.Network, p Plan) []Injector {
 
 // TestCompiledMatchesReference checks the compiled engine against the
 // reference implementation bit for bit, across activations, biases,
-// plans and injectors, on both evaluation entry points.
+// plans and injectors, on both evaluation entry points. The last net's
+// layers (256x128, 128x256) sit at the 1<<15 parallel-matvec
+// threshold, so the chunked lanes dispatch is compared too; it draws
+// from its own stream so the small nets' draws stay as they were.
 func TestCompiledMatchesReference(t *testing.T) {
 	r := rng.New(11)
 	nets := []*nn.Network{
 		nn.NewRandom(r, nn.Config{InputDim: 3, Widths: []int{9, 7, 5}, Act: activation.NewSigmoid(1)}, 0.8),
 		nn.NewRandom(r, nn.Config{InputDim: 2, Widths: []int{6, 6}, Act: activation.NewTanh(0.5), Bias: true}, 0.6),
 		nn.NewRandom(r, nn.Config{InputDim: 4, Widths: []int{8}, Act: activation.NewHardSigmoid(2), Bias: true}, 1.1),
+		nn.NewRandom(rng.New(13), nn.Config{InputDim: 128, Widths: []int{256, 128}, Act: activation.NewSigmoid(1), Bias: true}, 0.1),
 	}
 	for _, net := range nets {
 		inputs := metrics.RandomPoints(r, net.InputDim, 6)

@@ -145,3 +145,50 @@ func TestGraphBatchSteadyStateAllocs(t *testing.T) {
 		t.Errorf("batched graph sweep: %v allocs per run, want 0", allocs)
 	}
 }
+
+// TestGraphCompiledSteadyStateAllocs is TestCompiledSteadyStateAllocs
+// on a skip graph: under every deterministic registry model, Forward,
+// ErrorOn and ErrorOnTrace of a compiled graph plan must not allocate
+// once the pooled scratch is warm. The plan has neuron faults down to
+// level 3 and synapse faults either side of the output stage, so
+// ErrorOn and the nominal-reading Forward run the clean and damaged
+// sums as two lanes of the CSR gather on every frontier level.
+func TestGraphCompiledSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-instrumented sync.Pool allocates on Get; the contract is measured without the detector")
+	}
+	g, inputs := batchSkipNet(t, 233)
+	x := inputs[0]
+	tr := nn.TraceModel(g, x)
+	p := fault.Plan{
+		Neurons:  []fault.NeuronFault{{Layer: 1, Index: 0}, {Layer: 2, Index: 6}, {Layer: 3, Index: 4}},
+		Synapses: []fault.SynapseFault{lastEdge(g, 1, 2), lastEdge(g, 3, 1), lastEdge(g, 4, 0)},
+	}
+	if err := p.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	cp := fault.Compile(g, p)
+	for _, m := range fault.Models() {
+		if !m.Deterministic {
+			continue
+		}
+		inj, err := m.New(fault.Params{C: 0.8, Sem: core.DeviationCap, Value: 0.4, Prob: 0.5, Bits: 8, Bit: 6, Net: g})
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name, err)
+		}
+		cases := []struct {
+			name string
+			run  func()
+		}{
+			{m.Name + "/Forward", func() { cp.Forward(inj, x) }},
+			{m.Name + "/ErrorOn", func() { cp.ErrorOn(inj, x) }},
+			{m.Name + "/ErrorOnTrace", func() { cp.ErrorOnTrace(inj, tr) }},
+		}
+		for _, c := range cases {
+			c.run() // warm the pooled scratch
+			if allocs := testing.AllocsPerRun(100, c.run); allocs != 0 {
+				t.Errorf("%s: %v allocs per run, want 0", c.name, allocs)
+			}
+		}
+	}
+}

@@ -390,19 +390,6 @@ func (n *Net) LevelSumsLanes(l int, dsts [][]float64, srcs [][][]float64) {
 	n.meta[l-1].csr.GatherLanesAddTo(dsts, srcs, lv.Bias)
 }
 
-// LayerSumsLanes is the multi-lane nn.LaneSummer kernel for prevOnly
-// levels (panics otherwise, like LayerSums): dsts[k] = s^{(l)}(ys[k])
-// with biases, each lane bit-identical to LayerSums.
-func (n *Net) LayerSumsLanes(l int, dsts, ys [][]float64) {
-	n.mustCompile()
-	lv := n.Levels[l-1]
-	m := &n.meta[l-1]
-	if !m.prevOnly {
-		panic(fmt.Sprintf("graph: LayerSumsLanes on level %d, which reads levels %v — evaluate via LevelSumsLanes", l, m.srcLevels))
-	}
-	m.csr.GatherLanesFlatAddTo(dsts, ys, lv.Bias)
-}
-
 // LayerSums is the layered Model kernel; it is only valid for levels
 // that read nothing but level l-1 and panics otherwise — engines that
 // support arbitrary topology use LevelSums via the DAGModel interface.
@@ -424,55 +411,6 @@ func (n *Net) LayerSums(l int, dst, y []float64, skip []int) {
 			s += lv.Bias[to]
 		}
 		dst[to] = s
-	}
-}
-
-// LayerSums2 is the fused two-input sweep (clean+faulted evaluation),
-// bit-identical to two LayerSums calls; prevOnly levels only.
-func (n *Net) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
-	n.mustCompile()
-	lv := n.Levels[l-1]
-	m := &n.meta[l-1]
-	if !m.prevOnly {
-		panic(fmt.Sprintf("graph: LayerSums2 on level %d, which reads levels %v — evaluate via DAGModel.LevelSums", l, m.srcLevels))
-	}
-	cut := m.cut
-	for to := 0; to < lv.N; to++ {
-		var a0, a1, a2, a3 float64
-		var b0, b1, b2, b3 float64
-		for e := lv.Ptr[to]; e < lv.Ptr[to+1]; e++ {
-			w := lv.W[e]
-			idx := lv.SrcIdx[e]
-			v1 := w * y1[idx]
-			v2 := w * y2[idx]
-			if idx < cut {
-				switch idx & 3 {
-				case 0:
-					a0 += v1
-					b0 += v2
-				case 1:
-					a1 += v1
-					b1 += v2
-				case 2:
-					a2 += v1
-					b2 += v2
-				case 3:
-					a3 += v1
-					b3 += v2
-				}
-			} else {
-				a0 += v1
-				b0 += v2
-			}
-		}
-		s1 := a0 + a1 + a2 + a3
-		s2 := b0 + b1 + b2 + b3
-		if lv.Bias != nil {
-			s1 += lv.Bias[to]
-			s2 += lv.Bias[to]
-		}
-		dst1[to] = s1
-		dst2[to] = s2
 	}
 }
 

@@ -42,12 +42,12 @@ import (
 //     compute them anyway (large layers do, to keep row ranges
 //     contiguous for parallel dispatch).
 //
-//   - Bit-identity: LayerSums/LayerSums2/OutputSum must be
-//     allocation-free and bit-identical to the equivalent dense
-//     network's kernels. Zeros outside a conv receptive field (or
-//     absent graph edges) contribute exact zeros, so sparse evaluation
-//     can and must reproduce the dense accumulation order — see
-//     tensor.ConvAcc and graph.Net.
+//   - Bit-identity: LayerSums/OutputSum, and every lane of the
+//     optional multi-lane kernels, must be allocation-free and
+//     bit-identical to the equivalent dense network's kernels. Zeros
+//     outside a conv receptive field (or absent graph edges) contribute
+//     exact zeros, so sparse evaluation can and must reproduce the
+//     dense accumulation order — see tensor.ConvAcc and graph.Net.
 //
 //   - Optional refinements: LaneSummer (multi-lane sums), DAGModel
 //     (arbitrary-topology models; DAGOf gives every model this view,
@@ -70,10 +70,6 @@ type Model interface {
 	// layer's outputs y (length Width(l-1)), including biases. skip
 	// follows the Model contract's skip-rows convention.
 	LayerSums(l int, dst, y []float64, skip []int)
-	// LayerSums2 computes dst1 from y1 and dst2 from y2 in one fused
-	// sweep over the layer's weights, bit-identical to two LayerSums
-	// calls (the clean+faulted kernel).
-	LayerSums2(l int, dst1, y1, dst2, y2 []float64)
 	// Weight returns the synapse weight into neuron `to` of layer l
 	// (1 <= l <= L+1; the output node ignores `to`) from neuron `from`
 	// of layer l-1 — 0 outside a conv layer's receptive field.
@@ -111,11 +107,6 @@ func (n *Network) LayerSums(l int, dst, y []float64, skip []int) {
 		lo = idx + 1
 	}
 	m.MulVecAddRange(dst, y, b, lo, m.Rows)
-}
-
-// LayerSums2 is the fused two-input sweep (clean+faulted evaluation).
-func (n *Network) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
-	n.Hidden[l-1].MulVec2AddTo(dst1, y1, dst2, y2, n.bias(l-1))
 }
 
 // Weight returns w^{(l)}_{to,from}; layer L+1 addresses the output
@@ -157,27 +148,7 @@ func TraceModel(m Model, x []float64) *Trace {
 	if n, ok := m.(*Network); ok {
 		return n.ForwardTrace(x)
 	}
-	if dm, ok := m.(DAGModel); ok {
-		return traceDAG(dm, x)
-	}
-	L := m.NumLayers()
-	tr := &Trace{
-		Input:   tensor.Clone(x),
-		Sums:    make([][]float64, L),
-		Outputs: make([][]float64, L),
-	}
-	y := x
-	for l := 1; l <= L; l++ {
-		s := make([]float64, m.Width(l))
-		m.LayerSums(l, s, y, nil)
-		tr.Sums[l-1] = s
-		out := make([]float64, len(s))
-		activation.Eval(m.Activation(), out, s)
-		tr.Outputs[l-1] = out
-		y = out
-	}
-	tr.Output = m.OutputSum(y)
-	return tr
+	return traceDAG(DAGOf(m), x)
 }
 
 // ForwardBatchModel evaluates m on many inputs in parallel. Dense

@@ -55,48 +55,3 @@ func (a *ConvAcc) Add(k, x []float64, off int) {
 func (a *ConvAcc) Sum() float64 {
 	return a.lanes[0] + a.lanes[1] + a.lanes[2] + a.lanes[3]
 }
-
-// ConvAcc2 is ConvAcc over two input vectors sharing the kernel loads —
-// the sparse counterpart of MulVec2AddTo's fused clean+faulted sweep.
-// Each output is bit-identical to a standalone ConvAcc pass.
-type ConvAcc2 struct {
-	l1, l2 [4]float64
-	cut    int
-}
-
-// NewConvAcc2 returns a fused accumulator for rows of width w.
-func NewConvAcc2(w int) ConvAcc2 { return ConvAcc2{cut: w &^ 3} }
-
-// Reset clears both lane sets.
-func (a *ConvAcc2) Reset() {
-	a.l1 = [4]float64{}
-	a.l2 = [4]float64{}
-}
-
-// Add accumulates k[i]·x1[off+i] and k[i]·x2[off+i] in one sweep.
-func (a *ConvAcc2) Add(k, x1, x2 []float64, off int) {
-	x1 = x1[off : off+len(k)]
-	x2 = x2[off : off+len(k)]
-	if off+len(k) <= a.cut {
-		for i, kv := range k {
-			lane := (off + i) & 3
-			a.l1[lane] += kv * x1[i]
-			a.l2[lane] += kv * x2[i]
-		}
-		return
-	}
-	for i, kv := range k {
-		lane := 0
-		if c := off + i; c < a.cut {
-			lane = c & 3
-		}
-		a.l1[lane] += kv * x1[i]
-		a.l2[lane] += kv * x2[i]
-	}
-}
-
-// Sums reduces both lane sets.
-func (a *ConvAcc2) Sums() (s1, s2 float64) {
-	return a.l1[0] + a.l1[1] + a.l1[2] + a.l1[3],
-		a.l2[0] + a.l2[1] + a.l2[2] + a.l2[3]
-}

@@ -75,37 +75,7 @@ func TestConvAccMultiSegment(t *testing.T) {
 	}
 }
 
-// TestConvAcc2MatchesTwoPasses requires the fused accumulator to equal
-// two independent single passes bit for bit.
-func TestConvAcc2MatchesTwoPasses(t *testing.T) {
-	r := rng.New(3)
-	for _, w := range []int{4, 9, 16, 21} {
-		x1 := make([]float64, w)
-		x2 := make([]float64, w)
-		r.Floats(x1, -1, 1)
-		r.Floats(x2, -1, 1)
-		k := make([]float64, 5)
-		if w < 5 {
-			k = k[:w]
-		}
-		r.Floats(k, -1, 1)
-		for off := 0; off+len(k) <= w; off++ {
-			fused := NewConvAcc2(w)
-			fused.Add(k, x1, x2, off)
-			g1, g2 := fused.Sums()
-
-			a := NewConvAcc(w)
-			a.Add(k, x1, off)
-			b := NewConvAcc(w)
-			b.Add(k, x2, off)
-			if g1 != a.Sum() || g2 != b.Sum() {
-				t.Fatalf("w=%d off=%d: fused (%v,%v) != single (%v,%v)", w, off, g1, g2, a.Sum(), b.Sum())
-			}
-		}
-	}
-}
-
-// TestConvAccAllocs pins the accumulators as allocation-free.
+// TestConvAccAllocs pins the accumulator as allocation-free.
 func TestConvAccAllocs(t *testing.T) {
 	x := make([]float64, 16)
 	k := []float64{1, 2, 3}
@@ -113,9 +83,6 @@ func TestConvAccAllocs(t *testing.T) {
 		acc := NewConvAcc(16)
 		acc.Add(k, x, 4)
 		_ = acc.Sum()
-		fused := NewConvAcc2(16)
-		fused.Add(k, x, x, 4)
-		fused.Sums()
 	})
 	if allocs != 0 {
 		t.Fatalf("ConvAcc allocates %v per run", allocs)

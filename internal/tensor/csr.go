@@ -18,7 +18,7 @@ import (
 type CSR struct {
 	Rows int
 	Ptr  []int
-	Lvl  []int // nil for single-block views (GatherLanesFlat)
+	Lvl  []int
 	Idx  []int
 	Col  []int
 	W    []float64
@@ -113,104 +113,6 @@ func (c *CSR) gatherLanesRange(ys [][]float64, srcs [][][]float64, b []float64, 
 				v := c.W[e] * s[c.Lvl[e]][c.Idx[e]]
 				if col := c.Col[e]; col < cut {
 					switch col & 3 {
-					case 0:
-						a0 += v
-					case 1:
-						a1 += v
-					case 2:
-						a2 += v
-					case 3:
-						a3 += v
-					}
-				} else {
-					a0 += v
-				}
-			}
-			ys[k][r] = a0 + a1 + a2 + a3
-		}
-		if b != nil {
-			for k := range ys {
-				ys[k][r] += b[r]
-			}
-		}
-	}
-}
-
-// GatherLanesFlatAddTo is GatherLanesAddTo for a single-block view:
-// every edge reads xs[k][Idx[e]] and its accumulator column is Idx[e]
-// itself (Lvl and Col are ignored and may be nil). This is the
-// prev-level-only fast path — the sparse analogue of MulVecLanesAddTo —
-// and each lane is bit-identical to the single-lane flat gather.
-func (c *CSR) GatherLanesFlatAddTo(ys, xs [][]float64, b []float64) {
-	if len(ys) != len(xs) {
-		panic(fmt.Sprintf("tensor: GatherLanesFlatAddTo %d outputs for %d lanes", len(ys), len(xs)))
-	}
-	for k := range ys {
-		if len(ys[k]) != c.Rows {
-			panic(fmt.Sprintf("tensor: GatherLanesFlatAddTo lane %d output length %d, want %d", k, len(ys[k]), c.Rows))
-		}
-	}
-	if b != nil && len(b) != c.Rows {
-		panic("tensor: GatherLanesFlatAddTo bias length mismatch")
-	}
-	if len(xs) == 0 {
-		return
-	}
-	if len(c.W)*len(xs) >= csrParallelMin {
-		d := mvPool.Get().(*mvDispatch)
-		d.kind, d.csr, d.ys, d.xs, d.b = mvCSRFlatLanes, c, ys, xs, b
-		parallel.ForChunked(c.Rows, 16, d.run)
-		d.release()
-		return
-	}
-	c.gatherLanesFlatRange(ys, xs, b, 0, c.Rows)
-}
-
-// gatherLanesFlatRange is the serial core of GatherLanesFlatAddTo.
-func (c *CSR) gatherLanesFlatRange(ys, xs [][]float64, b []float64, lo, hi int) {
-	cut := c.Cut
-	for r := lo; r < hi; r++ {
-		start, end := c.Ptr[r], c.Ptr[r+1]
-		k := 0
-		for ; k+2 <= len(xs); k += 2 {
-			xa, xb := xs[k], xs[k+1]
-			var a0, a1, a2, a3 float64
-			var b0, b1, b2, b3 float64
-			for e := start; e < end; e++ {
-				w := c.W[e]
-				idx := c.Idx[e]
-				va := w * xa[idx]
-				vb := w * xb[idx]
-				if idx < cut {
-					switch idx & 3 {
-					case 0:
-						a0 += va
-						b0 += vb
-					case 1:
-						a1 += va
-						b1 += vb
-					case 2:
-						a2 += va
-						b2 += vb
-					case 3:
-						a3 += va
-						b3 += vb
-					}
-				} else {
-					a0 += va
-					b0 += vb
-				}
-			}
-			ys[k][r] = a0 + a1 + a2 + a3
-			ys[k+1][r] = b0 + b1 + b2 + b3
-		}
-		if k < len(xs) {
-			x := xs[k]
-			var a0, a1, a2, a3 float64
-			for e := start; e < end; e++ {
-				v := c.W[e] * x[c.Idx[e]]
-				if idx := c.Idx[e]; idx < cut {
-					switch idx & 3 {
 					case 0:
 						a0 += v
 					case 1:

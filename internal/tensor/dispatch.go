@@ -11,19 +11,16 @@ import "sync"
 // so the steady state allocates nothing.
 
 const (
-	mvSingle       = iota // mulVecAddRange
-	mvPair                // mulVec2AddRange
-	mvLanes               // mulVecLanesAddRange
-	mvCSRLanes            // gatherLanesRange
-	mvCSRFlatLanes        // gatherLanesFlatRange
+	mvSingle   = iota // mulVecAddRange
+	mvLanes           // mulVecLanesAddRange
+	mvCSRLanes        // gatherLanesRange
 )
 
 // mvDispatch rebinds one parallel matvec's operands per call.
 type mvDispatch struct {
 	kind   int
 	m      *Matrix
-	y1, x1 []float64
-	y2, x2 []float64
+	y, x   []float64
 	b      []float64
 	ys, xs [][]float64
 	csr    *CSR
@@ -36,15 +33,11 @@ var mvPool = sync.Pool{New: func() any {
 	d.run = func(lo, hi int) {
 		switch d.kind {
 		case mvSingle:
-			d.m.mulVecAddRange(d.y1, d.x1, d.b, lo, hi)
-		case mvPair:
-			d.m.mulVec2AddRange(d.y1, d.x1, d.y2, d.x2, d.b, lo, hi)
+			d.m.mulVecAddRange(d.y, d.x, d.b, lo, hi)
 		case mvLanes:
 			d.m.mulVecLanesAddRange(d.ys, d.xs, d.b, lo, hi)
 		case mvCSRLanes:
 			d.csr.gatherLanesRange(d.ys, d.srcs, d.b, lo, hi)
-		case mvCSRFlatLanes:
-			d.csr.gatherLanesFlatRange(d.ys, d.xs, d.b, lo, hi)
 		}
 	}
 	return d
@@ -54,7 +47,7 @@ var mvPool = sync.Pool{New: func() any {
 // caller memory) and returns the dispatch to the pool.
 func (d *mvDispatch) release() {
 	d.m, d.csr = nil, nil
-	d.y1, d.x1, d.y2, d.x2, d.b = nil, nil, nil, nil, nil
+	d.y, d.x, d.b = nil, nil, nil
 	d.ys, d.xs, d.srcs = nil, nil, nil
 	mvPool.Put(d)
 }

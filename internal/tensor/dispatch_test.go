@@ -9,18 +9,15 @@ import (
 
 // dispatchFixture returns a matrix past the 1<<15 parallel threshold
 // plus operands for every matvec kernel, and a run function exercising
-// all three in one shot.
+// both in one shot.
 func dispatchFixture() (run func(), sink *float64) {
 	r := rng.New(7)
 	m := RandomMatrix(r, 256, 256, 1) // 65536 elements >= 1<<15
 	x1 := make([]float64, 256)
-	x2 := make([]float64, 256)
 	b := make([]float64, 256)
 	r.Floats(x1, -1, 1)
-	r.Floats(x2, -1, 1)
 	r.Floats(b, -1, 1)
 	y1 := make([]float64, 256)
-	y2 := make([]float64, 256)
 	const lanes = 4
 	xs := make([][]float64, lanes)
 	ys := make([][]float64, lanes)
@@ -32,9 +29,8 @@ func dispatchFixture() (run func(), sink *float64) {
 	var s float64
 	return func() {
 		m.MulVecAddTo(y1, x1, b)
-		m.MulVec2AddTo(y1, x1, y2, x2, b)
 		m.MulVecLanesAddTo(ys, xs, b)
-		s += y1[0] + y2[0] + ys[0][0]
+		s += y1[0] + ys[0][0]
 	}, &s
 }
 

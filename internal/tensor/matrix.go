@@ -120,7 +120,7 @@ func (m *Matrix) MulVecAddTo(y, x, b []float64) {
 	}
 	if m.Rows*m.Cols >= 1<<15 {
 		d := mvPool.Get().(*mvDispatch)
-		d.kind, d.m, d.y1, d.x1, d.b = mvSingle, m, y, x, b
+		d.kind, d.m, d.y, d.x, d.b = mvSingle, m, y, x, b
 		parallel.ForChunked(m.Rows, 16, d.run)
 		d.release()
 		return
@@ -196,44 +196,6 @@ func (m *Matrix) mulVecAddRange(y, x, b []float64, lo, hi int) {
 		y[r] = s0 + s1 + s2 + s3
 		if b != nil {
 			y[r] += b[r]
-		}
-	}
-}
-
-// MulVec2AddTo computes y1 = M x1 + b and y2 = M x2 + b in a single sweep
-// over the matrix: both dot products per row read the row while it is hot
-// in cache. This is the kernel behind the fused clean+faulted forward
-// pass. b may be nil. Outputs must not alias any input.
-func (m *Matrix) MulVec2AddTo(y1, x1, y2, x2, b []float64) {
-	if len(x1) != m.Cols || len(x2) != m.Cols {
-		panic(fmt.Sprintf("tensor: MulVec2AddTo dim mismatch: %dx%d by %d/%d", m.Rows, m.Cols, len(x1), len(x2)))
-	}
-	if len(y1) != m.Rows || len(y2) != m.Rows {
-		panic("tensor: MulVec2AddTo output length mismatch")
-	}
-	if b != nil && len(b) != m.Rows {
-		panic("tensor: MulVec2AddTo bias length mismatch")
-	}
-	if m.Rows*m.Cols >= 1<<15 {
-		d := mvPool.Get().(*mvDispatch)
-		d.kind, d.m, d.y1, d.x1, d.y2, d.x2, d.b = mvPair, m, y1, x1, y2, x2, b
-		parallel.ForChunked(m.Rows, 16, d.run)
-		d.release()
-		return
-	}
-	m.mulVec2AddRange(y1, x1, y2, x2, b, 0, m.Rows)
-}
-
-// mulVec2AddRange is the serial row-range core of MulVec2AddTo (a named
-// method rather than a closure so the serial path stays allocation-free).
-func (m *Matrix) mulVec2AddRange(y1, x1, y2, x2, b []float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		row := m.Row(r)
-		s1 := dotPair(row, x1, x2, &y2[r])
-		y1[r] = s1
-		if b != nil {
-			y1[r] += b[r]
-			y2[r] += b[r]
 		}
 	}
 }
