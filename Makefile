@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store bench-snapshot fuzz-smoke staticcheck vuln serve-smoke load load-smoke
+.PHONY: ci fmt vet build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store bench-snapshot fuzz-smoke staticcheck vuln svcbench-check serve-smoke load load-smoke
 
-ci: fmt vet staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store fuzz-smoke serve-smoke load-smoke
+ci: fmt vet staticcheck vuln build test svcbench-check bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store fuzz-smoke serve-smoke load-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "$$out"; echo "gofmt: files need formatting"; exit 1; }
@@ -22,6 +22,13 @@ test:
 # the goroutine message-passing runtime.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# svcbench is a separate module built against the library via a
+# replace directive, so ./... never compiles it: vet and test it here so
+# a change to a library symbol it uses fails CI instead of the
+# benchmark run.
+svcbench-check:
+	cd svcbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short smoke of the hot-path microbenchmarks (fixed iteration count so
 # it stays fast on slow runners). Full runs: go test -bench . -benchtime=2s

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cliutil"
@@ -11,9 +12,9 @@ import (
 	"repro/internal/store"
 )
 
-// TestConvTrainInjectBoundsRoundTrip drives the conv CLI end to end for
-// both architectures: train, reload, certify, and inject every
-// registered fault model through the native engine (inject itself
+// TestConvTrainInjectBoundsRoundTrip drives the CLI end to end on conv
+// models of both architectures: train, reload, certify, and inject
+// every registered fault model through the native engine (inject itself
 // errors if a measurement ever exceeds its bound).
 func TestConvTrainInjectBoundsRoundTrip(t *testing.T) {
 	if testing.Short() {
@@ -42,26 +43,26 @@ func TestConvTrainInjectBoundsRoundTrip(t *testing.T) {
 			t.Fatalf("round-tripped arch %q, want %q", conv.ArchOf(m), wantArch)
 		}
 
-		if err := cmdConvBounds([]string{
+		if err := cmdBounds([]string{
 			"-net", netPath, "-faults", "1", "-c", "1", "-eps", "2", "-epsprime", "0.05",
 		}); err != nil {
-			t.Errorf("conv bounds %s: %v", arch, err)
+			t.Errorf("bounds %s: %v", arch, err)
 		}
 
 		for _, name := range fault.ModelNames() {
-			if err := cmdConvInject([]string{
+			if err := cmdInject([]string{
 				"-net", netPath, "-faults", "1", "-mode", name,
 				"-c", "0.6", "-value", "0.7", "-prob", "0.5", "-bits", "8", "-bit", "6",
 			}); err != nil {
-				t.Errorf("conv inject %s -mode %s: %v", arch, name, err)
+				t.Errorf("inject %s -mode %s: %v", arch, name, err)
 			}
 		}
 
 		// Shared kernel-value faults through the native engine.
-		if err := cmdConvInject([]string{
+		if err := cmdInject([]string{
 			"-net", netPath, "-kernels", "1", "-mode", "crash",
 		}); err != nil {
-			t.Errorf("conv inject %s -kernels: %v", arch, err)
+			t.Errorf("inject %s -kernels: %v", arch, err)
 		}
 	}
 
@@ -82,18 +83,17 @@ func TestConvTrainInjectBoundsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConvRejectsDenseNetworks pins the guard: the conv subcommands
-// refuse dense documents.
-func TestConvRejectsDenseNetworks(t *testing.T) {
+// TestInjectKernelsRejectsDenseNetwork pins the guard: shared
+// kernel-value faults need a conv model, so inject -kernels refuses a
+// dense document.
+func TestInjectKernelsRejectsDenseNetwork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a network")
 	}
 	netPath := trainTestNet(t, t.TempDir())
-	if err := cmdConvBounds([]string{"-net", netPath}); err == nil {
-		t.Fatal("conv bounds accepted a dense network")
-	}
-	if err := cmdConvInject([]string{"-net", netPath}); err == nil {
-		t.Fatal("conv inject accepted a dense network")
+	err := cmdInject([]string{"-net", netPath, "-kernels", "1"})
+	if err == nil || !strings.Contains(err.Error(), "needs a conv model") {
+		t.Fatalf("inject -kernels on a dense network: err = %v", err)
 	}
 }
 

@@ -3,36 +3,30 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"repro/internal/activation"
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/store"
 )
 
-// cmdGraph dispatches the arbitrary-topology subcommands: `gen`
-// generates a sparse-DAG model (layered, random-sparse or Watts-
-// Strogatz small-world), `bounds` prints the per-node certificates and
-// the compositional (cut-stitched) bound, and `inject` runs any
-// registered fault model through the native sparse-DAG engine.
+// cmdGraph dispatches the arbitrary-topology subcommands. Only `gen`
+// lives here — it generates a sparse-DAG model (layered, random-sparse
+// or Watts-Strogatz small-world); the top-level bounds, inject,
+// worstcase and montecarlo commands take graph documents like any other
+// model.
 func cmdGraph(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: neurofail graph <gen|bounds|inject> [flags]")
+		return fmt.Errorf("usage: neurofail graph gen [flags]")
 	}
 	switch args[0] {
 	case "gen":
 		return cmdGraphGen(args[1:])
-	case "bounds":
-		return cmdGraphBounds(args[1:])
-	case "inject":
-		return cmdGraphInject(args[1:])
 	default:
-		return fmt.Errorf("graph: unknown subcommand %q (want gen, bounds or inject)", args[0])
+		return fmt.Errorf("graph: unknown subcommand %q (want gen; bounds and inject are top-level commands)", args[0])
 	}
 }
 
@@ -92,163 +86,6 @@ func cmdGraphGen(args []string) error {
 			return err
 		}
 		fmt.Printf("stored as %s\n", entry.ID)
-	}
-	return nil
-}
-
-// loadGraphModel loads a model document and rejects anything but a
-// sparse-DAG graph (other architectures have their own subcommands).
-func loadGraphModel(path string) (*graph.Net, error) {
-	m, err := cliutil.LoadModel(path)
-	if err != nil {
-		return nil, err
-	}
-	g, ok := m.(*graph.Net)
-	if !ok {
-		return nil, fmt.Errorf("%s holds a %T: graph subcommands serve sparse-DAG models only", path, m)
-	}
-	return g, nil
-}
-
-func cmdGraphBounds(args []string) error {
-	fs := flag.NewFlagSet("graph bounds", flag.ExitOnError)
-	netPath := fs.String("net", "graph.json", "graph model file")
-	faultsArg := fs.String("faults", "1", "faults per level (uniform or comma-separated)")
-	c := fs.Float64("c", 1, "synaptic capacity / deviation bound C")
-	eps := fs.Float64("eps", 0, "required accuracy ε (0 = skip tolerance check)")
-	epsPrime := fs.Float64("epsprime", 0, "achieved accuracy ε'")
-	fs.Parse(args)
-
-	g, err := loadGraphModel(*netPath)
-	if err != nil {
-		return err
-	}
-	ns, err := core.NodeShapeOf(g)
-	if err != nil {
-		return err
-	}
-	s := core.ShapeOfModel(g)
-	faults, err := cliutil.ParseFaults(*faultsArg, g.NumLayers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-	fmt.Printf("graph model: L=%d widths=%v K=%g layered=%v\n",
-		g.NumLayers(), s.Widths, ns.K(), nn.IsLayered(g))
-	fmt.Printf("faults:  %v\n", faults)
-	fmt.Printf("Fep (Byzantine, C=%g):  %.6f  (per-node amplification)\n", *c, ns.Fep(faults, *c))
-	fmt.Printf("Fep (crash):            %.6f\n", ns.CrashFep(faults))
-	synFaults := append(append([]int{}, faults...), 0)
-	for l := range synFaults {
-		if n := ns.SynapseCount(l + 1); synFaults[l] > n {
-			synFaults[l] = n
-		}
-	}
-	fmt.Printf("SynapseFep (C=%g):      %.6f\n", *c, ns.SynapseFep(synFaults, *c))
-	if *eps > 0 {
-		fmt.Printf("tolerated (Byzantine):  %v\n", ns.Tolerates(faults, *c, *eps, *epsPrime))
-		fmt.Printf("tolerated (crash):      %v\n", ns.CrashTolerates(faults, *eps, *epsPrime))
-		fmt.Printf("required signals/level: %v (Corollary 2)\n", ns.RequiredSignals(faults))
-	}
-
-	// Compositional certification: certify the spans either side of
-	// every admissible interior cut independently and stitch them. The
-	// stitched bound is sound but generally looser than the monolithic
-	// per-node bound — the gap is the price of modular certification.
-	L := g.NumLayers()
-	for _, cut := range core.Cuts(g) {
-		if cut < 1 || cut > L-1 {
-			continue
-		}
-		a, err := core.CertifySpan(g, 1, cut, faults[:cut], *c)
-		if err != nil {
-			return err
-		}
-		b, err := core.CertifySpan(g, cut+1, L+1, faults[cut:], *c)
-		if err != nil {
-			return err
-		}
-		st, err := core.Compose(a, b)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("stitched Fep (cut after level %d): %.6f\n", cut, st.Fep[0])
-	}
-	return nil
-}
-
-func cmdGraphInject(args []string) error {
-	fs := flag.NewFlagSet("graph inject", flag.ExitOnError)
-	netPath := fs.String("net", "graph.json", "graph model file")
-	faultsArg := fs.String("faults", "1", "neuron faults per level (uniform or comma-separated)")
-	mode := fs.String("mode", "crash", "fault model name (see 'neurofail models')")
-	c := fs.Float64("c", 1, "capacity for byzantine/noise models")
-	value := fs.Float64("value", 0.8, "latched output for the stuck model")
-	prob := fs.Float64("prob", 0.5, "failure probability for the intermittent model")
-	bits := fs.Int("bits", 8, "code width for the bitflip model")
-	bit := fs.Int("bit", 7, "flipped bit for the bitflip model (bits-1 = sign)")
-	adversarial := fs.Bool("adversarial", true, "target heaviest outgoing weights (false = random)")
-	seed := fs.Uint64("seed", 7, "seed for random plans and stochastic models")
-	fs.Parse(args)
-
-	model, ok := fault.Lookup(*mode)
-	if !ok {
-		return fmt.Errorf("unknown fault model %q; registered models: %s",
-			*mode, strings.Join(fault.ModelNames(), ", "))
-	}
-	g, err := loadGraphModel(*netPath)
-	if err != nil {
-		return err
-	}
-	ns, err := core.NodeShapeOf(g)
-	if err != nil {
-		return err
-	}
-	s := core.ShapeOfModel(g)
-	faults, err := cliutil.ParseFaults(*faultsArg, g.NumLayers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-
-	var plan fault.Plan
-	if *adversarial {
-		plan = fault.AdversarialNeuronPlan(g, faults)
-	} else {
-		plan = fault.RandomNeuronPlan(rng.New(*seed), g, faults)
-	}
-	params := fault.Params{
-		C:     *c,
-		Sem:   core.DeviationCap,
-		Value: *value,
-		Prob:  *prob,
-		Bits:  *bits,
-		Bit:   *bit,
-		Net:   g,
-		R:     rng.New(*seed ^ 0xfa0175),
-	}
-	inj, err := model.New(params)
-	if err != nil {
-		return err
-	}
-	bound := ns.Fep(faults, model.NeuronDeviation(params, s))
-	inputs := evalInputs(g.Width(0))
-	var measured float64
-	if model.Deterministic {
-		measured = fault.MaxError(g, plan, inj, inputs)
-	} else {
-		measured = fault.MaxErrorSeq(g, plan, inj, inputs)
-	}
-	fmt.Printf("native injection on sparse-DAG model (%s): %d neuron faults, layered=%v\n",
-		model.Name, len(plan.Neurons), nn.IsLayered(g))
-	fmt.Printf("model: %s\n", model.Description)
-	fmt.Printf("measured max |Fneu - Ffail| over %d inputs: %.6f\n", len(inputs), measured)
-	fmt.Printf("per-node amplification bound:               %.6f\n", bound)
-	if bound > 0 {
-		fmt.Printf("bound utilisation: %.1f%%\n", 100*measured/bound)
-	}
-	if measured > bound*(1+1e-9) {
-		return fmt.Errorf("bound violated — this is a bug")
 	}
 	return nil
 }

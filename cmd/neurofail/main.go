@@ -8,13 +8,22 @@
 //	neurofail train    -target sine -widths 16 -k 1 -epochs 400 -out net.json
 //	neurofail bounds   -net net.json -faults 2 -c 1 -eps 0.4 -epsprime 0.1
 //	neurofail inject   -net net.json -faults 2 -mode stuck -value 0.8
+//	neurofail inject   -net conv.json -kernels 1
 //	neurofail models
 //	neurofail quantize -net net.json -bits 8
 //	neurofail worstcase -net net.json -faults 2 -mode crash
 //	neurofail boost    -net net.json -faults 1 -eps 0.4 -epsprime 0.1
+//	neurofail conv     train -arch 2d -out conv.json
+//	neurofail graph    gen -topology smallworld -out graph.json
 //	neurofail store    add -dir artifacts -net net.json
 //	neurofail serve    -addr :7077 -store artifacts -job-workers 4
 //	neurofail jobs     submit -addr :7077 -kind montecarlo -request '{"network_id": "...", "trials": 100000}' -watch
+//
+// bounds, inject, worstcase and montecarlo take any model document —
+// dense, conv1d, conv2d or graph — and price it with core.NewPricer,
+// the algebra /v1/bounds uses: the layered Certifier for strictly
+// layered models, the per-node NodeShape for graphs with skip edges.
+// quantize, boost and stream need a dense network.
 //
 // inject's -mode accepts any model registered in the fault-model
 // registry (crash, byzantine, stuck, intermittent, noise, signflip,
@@ -43,10 +52,12 @@ import (
 	"repro/internal/activation"
 	"repro/internal/approx"
 	"repro/internal/cliutil"
+	"repro/internal/conv"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -106,7 +117,7 @@ func usage() {
 
 commands:
   train     train an ε'-approximation of a target and save it as JSON
-  bounds    compute Fep / tolerance certificates for a saved network
+  bounds    compute Fep / tolerance / stitched-cut certificates for any saved model
   inject    inject any registered fault model and compare measured error with its bound
   models    print the fault-model registry
   quantize   build a fixed-point implementation with a Theorem 5 certificate
@@ -114,8 +125,8 @@ commands:
   montecarlo sample random failure configurations: error profile vs the bound
   worstcase  exhaustive worst-case search over every failure configuration (tree engine)
   stream     process a stream while failures accumulate on a schedule
-  conv       convolutional models: train, bounds (Section VI), native fault injection
-  graph      arbitrary-topology models: gen, per-node + compositional bounds, native injection
+  conv       convolutional models: train (bounds and inject take conv documents)
+  graph      arbitrary-topology models: gen (bounds and inject take graph documents)
   store      manage the content-addressed artifact store (add, list, show)
   serve      run the long-running robustness-query HTTP service
   jobs       client for the server's async job tier (submit, status, watch, result, cancel, list)
@@ -335,43 +346,101 @@ func cmdServe(args []string) error {
 	})
 }
 
+// pricedModel is a model document loaded for a certificate command:
+// the model, the pricer core.NewPricer chose for it, its shape, and the
+// fault distribution parsed against it and clamped to the level widths.
+type pricedModel struct {
+	m      nn.Model
+	p      core.Pricer
+	s      core.Shape
+	faults []int
+}
+
+// loadPriced loads any model document (dense, conv or graph) and
+// prices it with core.NewPricer, the same algebra /v1/bounds uses.
+func loadPriced(path, faultsArg string) (pricedModel, error) {
+	m, err := cliutil.LoadModel(path)
+	if err != nil {
+		return pricedModel{}, err
+	}
+	p, s, err := core.NewPricer(m)
+	if err != nil {
+		return pricedModel{}, err
+	}
+	faults, err := cliutil.ParseFaults(faultsArg, m.NumLayers())
+	if err != nil {
+		return pricedModel{}, err
+	}
+	cliutil.ClampFaults(faults, s.Widths)
+	return pricedModel{m: m, p: p, s: s, faults: faults}, nil
+}
+
 func cmdBounds(args []string) error {
 	fs := flag.NewFlagSet("bounds", flag.ExitOnError)
-	netPath := fs.String("net", "net.json", "network file")
+	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "faults per layer (uniform or comma-separated)")
 	c := fs.Float64("c", 1, "synaptic capacity / deviation bound C")
 	eps := fs.Float64("eps", 0, "required accuracy ε (0 = skip tolerance check)")
 	epsPrime := fs.Float64("epsprime", 0, "achieved accuracy ε'")
 	fs.Parse(args)
 
-	net, err := cliutil.LoadNetwork(*netPath)
+	pm, err := loadPriced(*netPath, *faultsArg)
 	if err != nil {
 		return err
 	}
-	s := core.ShapeOf(net)
-	faults, err := cliutil.ParseFaults(*faultsArg, net.Layers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-	fmt.Printf("network: L=%d widths=%v K=%g w_m=%v\n", s.Layers(), s.Widths, s.K, s.MaxW)
+	m, p, s, faults := pm.m, pm.p, pm.s, pm.faults
+	// Conv models report w_m over their receptive-field values
+	// (Section VI); non-layered graphs are priced per node.
+	fmt.Printf("model: arch=%s L=%d widths=%v K=%g w_m=%v layered=%v\n",
+		conv.ArchOf(m), s.Layers(), s.Widths, s.K, s.MaxW, nn.IsLayered(m))
 	fmt.Printf("faults:  %v\n", faults)
-	fmt.Printf("Fep (Byzantine, C=%g):  %.6f\n", *c, core.Fep(s, faults, *c))
-	fmt.Printf("Fep (crash):            %.6f\n", core.CrashFep(s, faults))
-	synFaults := append(append([]int{}, faults...), 0)
-	fmt.Printf("SynapseFep (C=%g):      %.6f\n", *c, core.SynapseFep(s, synFaults, *c))
+	fmt.Printf("Fep (Byzantine, C=%g):  %.6f\n", *c, p.Fep(faults, *c))
+	fmt.Printf("Fep (crash):            %.6f\n", p.CrashFep(faults))
+	synFaults := core.SynapseFaults(p, faults, make([]int, len(faults)+1))
+	fmt.Printf("SynapseFep (C=%g):      %.6f\n", *c, p.SynapseFep(synFaults, *c))
 	if *eps > 0 {
-		fmt.Printf("tolerated (Byzantine):  %v\n", core.Tolerates(s, faults, *c, *eps, *epsPrime))
-		fmt.Printf("tolerated (crash):      %v\n", core.CrashTolerates(s, faults, *eps, *epsPrime))
-		fmt.Printf("required signals/layer: %v (Corollary 2)\n", core.RequiredSignals(s, faults))
+		fmt.Printf("tolerated (Byzantine):  %v\n", p.Tolerates(faults, *c, *eps, *epsPrime))
+		fmt.Printf("tolerated (crash):      %v\n", p.CrashTolerates(faults, *eps, *epsPrime))
+		fmt.Printf("required signals/layer: %v (Corollary 2)\n", p.RequiredSignals(faults))
+	}
+
+	// Compositional certification: certify the spans either side of
+	// every admissible interior cut independently and stitch them. The
+	// stitched bound is sound but generally looser than the monolithic
+	// one — the gap is the price of modular certification.
+	L := m.NumLayers()
+	for _, cut := range core.Cuts(m) {
+		if cut > L-1 {
+			continue
+		}
+		a, err := core.CertifySpan(m, 1, cut, faults[:cut], *c)
+		if err != nil {
+			return err
+		}
+		b, err := core.CertifySpan(m, cut+1, L+1, faults[cut:], *c)
+		if err != nil {
+			return err
+		}
+		st, err := core.Compose(a, b)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("stitched Fep (cut after level %d): %.6f\n", cut, st.Fep[0])
 	}
 	return nil
 }
 
+// kernelPlanner is a model with shared kernel values (both conv
+// architectures): inject -kernels fails the largest of them.
+type kernelPlanner interface {
+	AdversarialKernelPlan(perLayer []int) fault.Plan
+}
+
 func cmdInject(args []string) error {
 	fs := flag.NewFlagSet("inject", flag.ExitOnError)
-	netPath := fs.String("net", "net.json", "network file")
-	faultsArg := fs.String("faults", "1", "faults per layer")
+	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
+	faultsArg := fs.String("faults", "1", "neuron faults per layer (ignored with -kernels)")
+	kernels := fs.Int("kernels", 0, "conv models: instead fail the K largest shared kernel values per layer")
 	mode := fs.String("mode", "crash", "fault model name (see 'neurofail models')")
 	c := fs.Float64("c", 1, "capacity for byzantine/noise models")
 	value := fs.Float64("value", 0.8, "latched output for the stuck model")
@@ -387,22 +456,11 @@ func cmdInject(args []string) error {
 		return fmt.Errorf("unknown fault model %q; registered models: %s",
 			*mode, strings.Join(fault.ModelNames(), ", "))
 	}
-	net, err := cliutil.LoadNetwork(*netPath)
+	pm, err := loadPriced(*netPath, *faultsArg)
 	if err != nil {
 		return err
 	}
-	s := core.ShapeOf(net)
-	faults, err := cliutil.ParseFaults(*faultsArg, net.Layers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-	var plan fault.Plan
-	if *adversarial {
-		plan = fault.AdversarialNeuronPlan(net, faults)
-	} else {
-		plan = fault.RandomNeuronPlan(rng.New(*seed), net, faults)
-	}
+	m, s := pm.m, pm.s
 	params := fault.Params{
 		C:     *c,
 		Sem:   core.DeviationCap,
@@ -410,25 +468,49 @@ func cmdInject(args []string) error {
 		Prob:  *prob,
 		Bits:  *bits,
 		Bit:   *bit,
-		Net:   net,
+		Net:   m,
 		R:     rng.New(*seed ^ 0xfa0175),
 	}
 	inj, err := model.New(params)
 	if err != nil {
 		return err
 	}
-	inputs := evalInputs(net.InputDim)
-	var measured float64
-	if model.Deterministic {
-		measured = fault.MaxError(net, plan, inj, inputs)
+	var plan fault.Plan
+	var dev, bound float64
+	if *kernels > 0 {
+		kp, ok := m.(kernelPlanner)
+		if !ok {
+			return fmt.Errorf("%s holds a %s model: -kernels needs a conv model", *netPath, conv.ArchOf(m))
+		}
+		perLayer := make([]int, m.NumLayers())
+		for i := range perLayer {
+			perLayer[i] = *kernels
+		}
+		plan = kp.AdversarialKernelPlan(perLayer)
+		// A shared-weight fault is a fault on every tied synapse
+		// instance: the certificate is SynapseFep over the instance
+		// counts, with the model's per-synapse deviation cap.
+		dev = model.SynapseDeviation(params, s)
+		bound = pm.p.SynapseFep(plan.PerLayerSynapses(m.NumLayers()), dev)
 	} else {
-		measured = fault.MaxErrorSeq(net, plan, inj, inputs)
+		if *adversarial {
+			plan = fault.AdversarialNeuronPlan(m, pm.faults)
+		} else {
+			plan = fault.RandomNeuronPlan(rng.New(*seed), m, pm.faults)
+		}
+		dev = model.NeuronDeviation(params, s)
+		bound = pm.p.Fep(pm.faults, dev)
 	}
-	dev := model.NeuronDeviation(params, s)
-	bound := core.Fep(s, faults, dev)
-	fmt.Printf("plan: %d neuron failures (%s)\n", len(plan.Neurons), model.Name)
+	inputs := evalInputs(m.Width(0))
+	measure := fault.MaxError
+	if !model.Deterministic {
+		measure = fault.MaxErrorSeq
+	}
+	measured := measure(m, plan, inj, inputs)
+	fmt.Printf("plan: %d neuron + %d synapse faults (%s on a %s model)\n",
+		len(plan.Neurons), len(plan.Synapses), model.Name, conv.ArchOf(m))
 	fmt.Printf("model: %s\n", model.Description)
-	fmt.Printf("per-neuron deviation cap:                   %.6f\n", dev)
+	fmt.Printf("per-fault deviation cap:                    %.6f\n", dev)
 	fmt.Printf("measured max |Fneu - Ffail| over %d inputs: %.6f\n", len(inputs), measured)
 	fmt.Printf("Fep bound:                                  %.6f\n", bound)
 	if bound > 0 {
@@ -530,30 +612,25 @@ func cmdBoost(args []string) error {
 
 func cmdMonteCarlo(args []string) error {
 	fs := flag.NewFlagSet("montecarlo", flag.ExitOnError)
-	netPath := fs.String("net", "net.json", "network file")
+	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "faults per layer")
 	c := fs.Float64("c", 0, "byzantine capacity (0 = crash failures)")
 	trials := fs.Int("trials", 500, "random configurations to sample")
 	seed := fs.Uint64("seed", 9, "seed")
 	fs.Parse(args)
 
-	net, err := cliutil.LoadNetwork(*netPath)
+	pm, err := loadPriced(*netPath, *faultsArg)
 	if err != nil {
 		return err
 	}
-	s := core.ShapeOf(net)
-	faults, err := cliutil.ParseFaults(*faultsArg, net.Layers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-	inputs := evalInputs(net.InputDim)
-	prof := fault.MonteCarlo(net, faults, *c, core.DeviationCap, inputs, *trials, rng.New(*seed))
+	faults := pm.faults
+	inputs := evalInputs(pm.m.Width(0))
+	prof := fault.MonteCarlo(pm.m, faults, *c, core.DeviationCap, inputs, *trials, rng.New(*seed))
 	var bound float64
 	if *c == 0 {
-		bound = core.CrashFep(s, faults)
+		bound = pm.p.CrashFep(faults)
 	} else {
-		bound = core.Fep(s, faults, *c)
+		bound = pm.p.Fep(faults, *c)
 	}
 	fmt.Printf("random failure profile over %d configurations (faults %v):\n", prof.Trials, faults)
 	fmt.Printf("  mean %.5f  median %.5f  q90 %.5f  q99 %.5f  max %.5f\n",
@@ -568,7 +645,7 @@ func cmdMonteCarlo(args []string) error {
 // sharing and bound-guided pruning, against the Fep certificate.
 func cmdWorstCase(args []string) error {
 	fs := flag.NewFlagSet("worstcase", flag.ExitOnError)
-	netPath := fs.String("net", "net.json", "network file")
+	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "faults per layer")
 	mode := fs.String("mode", "crash", "deterministic fault model name (see 'neurofail models')")
 	c := fs.Float64("c", 1, "capacity for byzantine-style models")
@@ -587,25 +664,20 @@ func cmdWorstCase(args []string) error {
 	if !model.Deterministic {
 		return fmt.Errorf("fault model %q is stochastic; exhaustive search needs a deterministic model — use 'neurofail montecarlo' instead", model.Name)
 	}
-	net, err := cliutil.LoadNetwork(*netPath)
+	pm, err := loadPriced(*netPath, *faultsArg)
 	if err != nil {
 		return err
 	}
-	s := core.ShapeOf(net)
-	faults, err := cliutil.ParseFaults(*faultsArg, net.Layers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
+	m, faults := pm.m, pm.faults
 	params := fault.Params{
-		C: *c, Sem: core.DeviationCap, Value: *value, Bits: *bits, Bit: *bit, Net: net,
+		C: *c, Sem: core.DeviationCap, Value: *value, Bits: *bits, Bit: *bit, Net: m,
 	}
 	inj, err := model.New(params)
 	if err != nil {
 		return err
 	}
-	inputs := evalInputs(net.InputDim)
-	eng, err := fault.NewWorstCase(net, faults, inputs, fault.WorstCaseOptions{
+	inputs := evalInputs(m.Width(0))
+	eng, err := fault.NewWorstCase(m, faults, inputs, fault.WorstCaseOptions{
 		Injector: inj, Prune: !*noPrune, MaxConfigs: *maxConfigs,
 	})
 	if err != nil {
@@ -615,8 +687,8 @@ func cmdWorstCase(args []string) error {
 	if err != nil {
 		return err
 	}
-	dev := model.NeuronDeviation(params, s)
-	bound := core.Fep(s, faults, dev)
+	dev := model.NeuronDeviation(params, pm.s)
+	bound := pm.p.Fep(faults, dev)
 	fmt.Printf("exhaustive %s sweep: %d configurations over %d inputs (faults %v)\n",
 		model.Name, res.Configurations, len(inputs), faults)
 	fmt.Printf("  visited %d, pruned %d (%.1f%%)\n", res.Visited, res.Pruned,

@@ -67,17 +67,19 @@ func ClampFaults(faults, widths []int) {
 	}
 }
 
-// LoadNetwork reads a JSON-serialised network from disk.
+// LoadNetwork reads a dense network document from disk. It loads
+// through LoadModel, so a conv or graph document fails with an error
+// naming its architecture.
 func LoadNetwork(path string) (*nn.Network, error) {
-	data, err := os.ReadFile(path)
+	m, err := LoadModel(path)
 	if err != nil {
 		return nil, err
 	}
-	var net nn.Network
-	if err := json.Unmarshal(data, &net); err != nil {
-		return nil, fmt.Errorf("cliutil: parsing %s: %w", path, err)
+	net, ok := m.(*nn.Network)
+	if !ok {
+		return nil, fmt.Errorf("%s holds a %s model; this command needs a dense network", path, conv.ArchOf(m))
 	}
-	return &net, nil
+	return net, nil
 }
 
 // SaveNetwork writes a network as indented JSON.
@@ -96,7 +98,7 @@ func SaveModel(path string, m nn.Model) error {
 }
 
 // LoadModel reads any architecture-tagged model document from disk:
-// untagged dense networks, "conv1d" and "conv2d" nets.
+// untagged dense networks, "conv1d", "conv2d" and "graph" nets.
 func LoadModel(path string) (nn.Model, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

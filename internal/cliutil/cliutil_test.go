@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/activation"
+	"repro/internal/conv"
 	"repro/internal/nn"
 	"repro/internal/rng"
 )
@@ -92,5 +93,24 @@ func TestLoadNetworkErrors(t *testing.T) {
 	}
 	if _, err := LoadNetwork(bad); err == nil {
 		t.Fatal("bad JSON accepted")
+	}
+}
+
+// TestLoadNetworkRejectsOtherArchitectures: a conv document handed to a
+// dense-only command fails naming its architecture, not with a JSON
+// decoding error.
+func TestLoadNetworkRejectsOtherArchitectures(t *testing.T) {
+	net, err := conv.NewRandom2D(rng.New(1), 5, 5, []int{3}, []int{2}, activation.NewSigmoid(1), 0.5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "conv.json")
+	if err := SaveModel(path, net); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadNetwork(path)
+	want := path + " holds a conv2d model; this command needs a dense network"
+	if err == nil || err.Error() != want {
+		t.Fatalf("LoadNetwork(conv2d) error = %v, want %q", err, want)
 	}
 }

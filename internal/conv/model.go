@@ -370,11 +370,13 @@ type kernelCand struct {
 }
 
 // takeTopKernels expands the k largest-magnitude candidates into p —
-// the shared tail of both AdversarialKernelPlan variants.
+// the shared tail of both AdversarialKernelPlan variants. A k beyond
+// the layer's kernel-value count fails every value, mirroring how
+// neuron-fault counts clamp to the layer width.
 func takeTopKernels(p *fault.Plan, all []kernelCand, k int) {
 	sort.Slice(all, func(a, b int) bool { return all[a].w > all[b].w })
 	if k > len(all) {
-		panic("conv: more kernel faults than kernel values in layer")
+		k = len(all)
 	}
 	for _, c := range all[:k] {
 		p.Synapses = c.expand(p.Synapses)
@@ -385,7 +387,7 @@ func takeTopKernels(p *fault.Plan, all []kernelCand, k int) {
 // largest-magnitude shared kernel values — the heaviest-weights
 // adversary of the tightness arguments lifted to the shared-weight
 // setting, where one fault simultaneously hits every tied synapse
-// instance.
+// instance. A count above the layer's kernel-value count fails them all.
 func (n *Net) AdversarialKernelPlan(perLayer []int) fault.Plan {
 	if len(perLayer) != len(n.Layers) {
 		panic("conv: perLayer length must equal the number of layers")

@@ -260,17 +260,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 // computeEval is the transport-free eval path, shared by the
 // synchronous handler and the async job tier.
 func (s *Server) computeEval(req evalRequest) (map[string]any, error) {
-	cn, err := s.network(req.netRef)
+	cn, err := s.resolveEval(req)
 	if err != nil {
 		return nil, err
-	}
-	if len(req.Inputs) == 0 {
-		return nil, badRequest("inputs is empty")
-	}
-	for i, x := range req.Inputs {
-		if len(x) != cn.model.Width(0) {
-			return nil, badRequest(fmt.Sprintf("inputs[%d] has dimension %d, want %d", i, len(x), cn.model.Width(0)))
-		}
 	}
 	outputs := nn.ForwardBatchModel(cn.model, req.Inputs)
 	return map[string]any{
@@ -278,6 +270,44 @@ func (s *Server) computeEval(req evalRequest) (map[string]any, error) {
 		"count":      len(outputs),
 		"outputs":    outputs,
 	}, nil
+}
+
+// checkInputs rejects caller-supplied inputs whose dimension is not
+// the model's input width.
+func checkInputs(cn *cachedNet, inputs [][]float64) error {
+	for i, x := range inputs {
+		if len(x) != cn.model.Width(0) {
+			return badRequest(fmt.Sprintf("inputs[%d] has dimension %d, want %d", i, len(x), cn.model.Width(0)))
+		}
+	}
+	return nil
+}
+
+// resolveEval validates an eval request for the synchronous path and
+// the job tier alike.
+func (s *Server) resolveEval(req evalRequest) (*cachedNet, error) {
+	cn, err := s.network(req.netRef)
+	if err != nil {
+		return nil, err
+	}
+	if len(req.Inputs) == 0 {
+		return nil, badRequest("inputs is empty")
+	}
+	return cn, checkInputs(cn, req.Inputs)
+}
+
+// lookupModel resolves a request's fault-model name, defaulting to
+// crash.
+func lookupModel(name string) (fault.Model, error) {
+	if name == "" {
+		name = "crash"
+	}
+	model, ok := fault.Lookup(name)
+	if !ok {
+		return model, badRequest(fmt.Sprintf("unknown fault model %q; registered models: %s",
+			name, strings.Join(fault.ModelNames(), ", ")))
+	}
+	return model, nil
 }
 
 // ---- POST /v1/bounds ----
@@ -321,24 +351,44 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// computeBounds is the transport-free bounds path, shared by the
-// synchronous handler and the async job tier.
-func (s *Server) computeBounds(req boundsRequest) (boundsResponse, error) {
+// boundsResolved is a validated bounds query: defaults applied, faults
+// resolved against the layer widths. Its fields plus the network
+// identity are exactly what determines the answer — the job memo key
+// hashes them.
+type boundsResolved struct {
+	cn            *cachedNet
+	faults        []int
+	c             float64
+	eps, epsPrime float64
+}
+
+// resolveBounds validates a bounds request, applying the same defaults
+// for the synchronous path, the job tier and the memo key.
+func (s *Server) resolveBounds(req boundsRequest) (boundsResolved, error) {
+	var br boundsResolved
 	cn, err := s.network(req.netRef)
 	if err != nil {
-		return boundsResponse{}, err
+		return br, err
 	}
 	faults, err := req.Faults.resolve(cn.shape.Widths)
 	if err != nil {
+		return br, err
+	}
+	c := orDefault(req.C, 1)
+	if c < 0 {
+		return br, badRequest("c is negative")
+	}
+	return boundsResolved{cn: cn, faults: faults, c: c, eps: req.Eps, epsPrime: req.EpsPrime}, nil
+}
+
+// computeBounds is the transport-free bounds path, shared by the
+// synchronous handler and the async job tier.
+func (s *Server) computeBounds(req boundsRequest) (boundsResponse, error) {
+	br, err := s.resolveBounds(req)
+	if err != nil {
 		return boundsResponse{}, err
 	}
-	c := 1.0
-	if req.C != nil {
-		c = *req.C
-	}
-	if c < 0 {
-		return boundsResponse{}, badRequest("c is negative")
-	}
+	cn, faults, c := br.cn, br.faults, br.c
 	// The certificate computations run on pooled per-network scratch:
 	// zero allocations in the steady state (see BenchmarkBoundsCompute).
 	b := cn.getBounds()
@@ -352,23 +402,11 @@ func (s *Server) computeBounds(req boundsRequest) (boundsResponse, error) {
 		C:          c,
 		Fep:        b.cert.Fep(faults, c),
 		CrashFep:   b.cert.CrashFep(faults),
+		SynapseFep: b.cert.SynapseFep(core.SynapseFaults(b.cert, faults, b.synFaults), c),
 	}
-	copy(b.synFaults, faults)
-	b.synFaults[len(b.synFaults)-1] = 0
-	if cn.node != nil {
-		// A sparse level can have fewer in-edges than nodes; cap the
-		// derived synapse distribution at the edges that exist (beyond
-		// that every edge into the level is already faulty).
-		for l := range b.synFaults {
-			if n := cn.node.SynapseCount(l + 1); b.synFaults[l] > n {
-				b.synFaults[l] = n
-			}
-		}
-	}
-	resp.SynapseFep = b.cert.SynapseFep(b.synFaults, c)
-	if req.Eps > 0 {
-		tol := b.cert.Tolerates(faults, c, req.Eps, req.EpsPrime)
-		crashTol := b.cert.CrashTolerates(faults, req.Eps, req.EpsPrime)
+	if br.eps > 0 {
+		tol := b.cert.Tolerates(faults, c, br.eps, br.epsPrime)
+		crashTol := b.cert.CrashTolerates(faults, br.eps, br.epsPrime)
 		resp.Tolerated = &tol
 		resp.CrashTolerated = &crashTol
 		resp.RequiredSignals = append([]int(nil), b.cert.RequiredSignals(faults)...)
@@ -406,31 +444,41 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// computeInject is the transport-free inject path, shared by the
-// synchronous handler and the async job tier.
-func (s *Server) computeInject(req injectRequest) (map[string]any, error) {
-	modelName := req.Model
-	if modelName == "" {
-		modelName = "crash"
-	}
-	model, ok := fault.Lookup(modelName)
-	if !ok {
-		return nil, badRequest(fmt.Sprintf("unknown fault model %q; registered models: %s",
-			modelName, strings.Join(fault.ModelNames(), ", ")))
+// injectResolved is a validated inject query: defaults applied, faults
+// resolved against the layer widths, the injector built. Its scalar
+// fields plus the network identity are exactly what determines the
+// answer — the job memo key hashes them.
+type injectResolved struct {
+	cn          *cachedNet
+	model       fault.Model
+	faults      []int
+	params      fault.Params
+	inj         fault.Injector
+	adversarial bool
+	seed        uint64
+}
+
+// resolveInject validates an inject request, applying the same
+// defaults for the synchronous path, the job tier and the memo key.
+func (s *Server) resolveInject(req injectRequest) (injectResolved, error) {
+	var ir injectResolved
+	model, err := lookupModel(req.Model)
+	if err != nil {
+		return ir, err
 	}
 	cn, err := s.network(req.netRef)
 	if err != nil {
-		return nil, err
+		return ir, err
 	}
 	faults, err := req.Faults.resolve(cn.shape.Widths)
 	if err != nil {
-		return nil, err
+		return ir, err
 	}
 	// Checked here, not left to the model constructor: models that
 	// ignore C (crash, stuck, ...) would otherwise carry the negative
 	// cap into the Fep computation, which panics on it.
 	if req.C != nil && *req.C < 0 {
-		return nil, badRequest("c is negative")
+		return ir, badRequest("c is negative")
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -448,29 +496,40 @@ func (s *Server) computeInject(req injectRequest) (map[string]any, error) {
 	}
 	inj, err := model.New(params)
 	if err != nil {
-		return nil, badRequest(err.Error())
+		return ir, badRequest(err.Error())
 	}
-	adversarial := req.Adversarial == nil || *req.Adversarial
+	return injectResolved{cn: cn, model: model, faults: faults, params: params, inj: inj,
+		adversarial: req.Adversarial == nil || *req.Adversarial, seed: seed}, nil
+}
+
+// computeInject is the transport-free inject path, shared by the
+// synchronous handler and the async job tier.
+func (s *Server) computeInject(req injectRequest) (map[string]any, error) {
+	ir, err := s.resolveInject(req)
+	if err != nil {
+		return nil, err
+	}
+	cn, model, faults := ir.cn, ir.model, ir.faults
 	var cp *fault.CompiledPlan
-	if adversarial {
+	if ir.adversarial {
 		cp = cn.adversarialPlan(faults)
 	} else {
-		cp = fault.Compile(cn.model, fault.RandomNeuronPlan(rng.New(seed), cn.model, faults))
+		cp = fault.Compile(cn.model, fault.RandomNeuronPlan(rng.New(ir.seed), cn.model, faults))
 	}
 	inputs, traces := cn.standardInputs()
 	var measured float64
 	if model.Deterministic {
 		measured = parallel.MaxFloat64(len(traces), func(i int) float64 {
-			return cp.ErrorOnTrace(inj, traces[i])
+			return cp.ErrorOnTrace(ir.inj, traces[i])
 		})
 	} else {
 		for _, tr := range traces {
-			if e := cp.ErrorOnTrace(inj, tr); e > measured {
+			if e := cp.ErrorOnTrace(ir.inj, tr); e > measured {
 				measured = e
 			}
 		}
 	}
-	dev := model.NeuronDeviation(params, cn.shape)
+	dev := model.NeuronDeviation(ir.params, cn.shape)
 	b := cn.getBounds()
 	bound := b.cert.Fep(faults, dev)
 	cn.putBounds(b)
@@ -478,7 +537,7 @@ func (s *Server) computeInject(req injectRequest) (map[string]any, error) {
 		"network_id":    cn.id,
 		"model":         model.Name,
 		"deterministic": model.Deterministic,
-		"adversarial":   adversarial,
+		"adversarial":   ir.adversarial,
 		"faults":        faults,
 		"deviation_cap": dev,
 		"inputs":        len(inputs),
@@ -644,10 +703,8 @@ func (s *Server) resolveMonteCarlo(req monteCarloRequest) (mcResolved, error) {
 	}
 	var traces []*nn.Trace
 	if len(req.Inputs) > 0 {
-		for i, x := range req.Inputs {
-			if len(x) != cn.model.Width(0) {
-				return mc, badRequest(fmt.Sprintf("inputs[%d] has dimension %d, want %d", i, len(x), cn.model.Width(0)))
-			}
+		if err := checkInputs(cn, req.Inputs); err != nil {
+			return mc, err
 		}
 		traces = fault.CleanTraces(cn.model, req.Inputs)
 	} else {

@@ -67,12 +67,9 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 		if err := strictUnmarshal(raw, &req); err != nil {
 			return "", badRequest(err.Error())
 		}
-		cn, err := s.network(req.netRef)
+		cn, err := s.resolveEval(req)
 		if err != nil {
 			return "", err
-		}
-		if len(req.Inputs) == 0 {
-			return "", badRequest("inputs is empty")
 		}
 		return memoKey(jobKindEval, struct {
 			Net    string      `json:"net"`
@@ -83,17 +80,9 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 		if err := strictUnmarshal(raw, &req); err != nil {
 			return "", badRequest(err.Error())
 		}
-		cn, err := s.network(req.netRef)
+		br, err := s.resolveBounds(req)
 		if err != nil {
 			return "", err
-		}
-		faults, err := req.Faults.resolve(cn.shape.Widths)
-		if err != nil {
-			return "", err
-		}
-		c := 1.0
-		if req.C != nil {
-			c = *req.C
 		}
 		return memoKey(jobKindBounds, struct {
 			Net      string  `json:"net"`
@@ -101,31 +90,15 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 			C        float64 `json:"c"`
 			Eps      float64 `json:"eps"`
 			EpsPrime float64 `json:"eps_prime"`
-		}{netMemoKey(req.netRef, cn), faults, c, req.Eps, req.EpsPrime})
+		}{netMemoKey(req.netRef, br.cn), br.faults, br.c, br.eps, br.epsPrime})
 	case jobKindInject:
 		var req injectRequest
 		if err := strictUnmarshal(raw, &req); err != nil {
 			return "", badRequest(err.Error())
 		}
-		modelName := req.Model
-		if modelName == "" {
-			modelName = "crash"
-		}
-		if _, ok := fault.Lookup(modelName); !ok {
-			return "", badRequest(fmt.Sprintf("unknown fault model %q; registered models: %s",
-				modelName, strings.Join(fault.ModelNames(), ", ")))
-		}
-		cn, err := s.network(req.netRef)
+		ir, err := s.resolveInject(req)
 		if err != nil {
 			return "", err
-		}
-		faults, err := req.Faults.resolve(cn.shape.Widths)
-		if err != nil {
-			return "", err
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 7
 		}
 		return memoKey(jobKindInject, struct {
 			Net         string  `json:"net"`
@@ -138,10 +111,8 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 			Prob        float64 `json:"prob"`
 			Bits        int     `json:"bits"`
 			Bit         int     `json:"bit"`
-		}{netMemoKey(req.netRef, cn), faults, modelName,
-			req.Adversarial == nil || *req.Adversarial, seed,
-			orDefault(req.C, 1), orDefault(req.Value, 0.8), orDefault(req.Prob, 0.5),
-			orDefaultInt(req.Bits, 8), orDefaultInt(req.Bit, 7)})
+		}{netMemoKey(req.netRef, ir.cn), ir.faults, ir.model.Name, ir.adversarial, ir.seed,
+			ir.params.C, ir.params.Value, ir.params.Prob, ir.params.Bits, ir.params.Bit})
 	case jobKindMonteCarlo:
 		var req monteCarloRequest
 		if err := strictUnmarshal(raw, &req); err != nil {

@@ -285,6 +285,41 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
+// TestJobSubmitRejectsWhatSyncRejects: every request a synchronous
+// route answers with 400 is also refused at submission, so the job tier
+// never accepts a request only to fail it later. Both paths share one
+// resolver per kind.
+func TestJobSubmitRejectsWhatSyncRejects(t *testing.T) {
+	s, id := jobServer(t, Config{})
+	for _, tc := range []struct{ kind, req string }{
+		{"bounds", `{"network_id": %q, "c": -1}`},
+		{"bounds", `{"network_id": %q, "faults": 100}`},
+		{"bounds", `{"network_id": %q, "faults": [1, 1, 1]}`},
+		{"bounds", `{"network_id": %q, "faults": -1}`},
+		{"bounds", `{"network_id": %q, "epz": 1}`},
+		{"inject", `{"network_id": %q, "c": -1}`},
+		{"inject", `{"network_id": %q, "model": "gremlin"}`},
+		{"inject", `{"network_id": %q, "model": "bitflip", "bits": 1}`},
+		{"inject", `{"network_id": %q, "model": "bitflip", "bits": 4, "bit": 4}`},
+		{"inject", `{"network_id": %q, "model": "intermittent", "prob": 2}`},
+		{"inject", `{"network_id": %q, "faults": 100}`},
+		{"eval", `{"network_id": %q, "inputs": []}`},
+		{"eval", `{"network_id": %q, "inputs": [[0.1, 0.2, 0.3]]}`},
+		{"montecarlo", `{"network_id": %q, "c": -1}`},
+		{"montecarlo", `{"network_id": %q, "trials": -4}`},
+		{"worstcase", `{"network_id": %q, "model": "noise"}`},
+		{"worstcase", `{"network_id": %q, "c": -1}`},
+	} {
+		req := fmt.Sprintf(tc.req, id)
+		if rec := doRec(t, s, "POST", "/v1/"+tc.kind, req); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: sync status %d, want 400", tc.kind, req, rec.Code)
+		}
+		if _, rec := submitJob(t, s, tc.kind, req); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: submit status %d, want 400: %s", tc.kind, req, rec.Code, rec.Body.Bytes())
+		}
+	}
+}
+
 // TestJobBodyLimit: control-plane routes cap their request bodies; an
 // oversized document is 413, not an async failure.
 func TestJobBodyLimit(t *testing.T) {

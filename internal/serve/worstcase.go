@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -52,14 +51,9 @@ type wcResolved struct {
 // certificate, and belong to /v1/montecarlo.
 func (s *Server) resolveWorstCase(req worstCaseRequest) (wcResolved, error) {
 	var wc wcResolved
-	modelName := req.Model
-	if modelName == "" {
-		modelName = "crash"
-	}
-	model, ok := fault.Lookup(modelName)
-	if !ok {
-		return wc, badRequest(fmt.Sprintf("unknown fault model %q; registered models: %s",
-			modelName, strings.Join(fault.ModelNames(), ", ")))
+	model, err := lookupModel(req.Model)
+	if err != nil {
+		return wc, err
 	}
 	if !model.Deterministic {
 		return wc, badRequest(fmt.Sprintf("fault model %q is stochastic; exhaustive worst-case search needs a deterministic model — profile stochastic models with /v1/montecarlo", model.Name))
@@ -105,10 +99,8 @@ func (s *Server) resolveWorstCase(req worstCaseRequest) (wcResolved, error) {
 	}
 	inputs := req.Inputs
 	if len(inputs) > 0 {
-		for i, x := range inputs {
-			if len(x) != cn.model.Width(0) {
-				return wc, badRequest(fmt.Sprintf("inputs[%d] has dimension %d, want %d", i, len(x), cn.model.Width(0)))
-			}
+		if err := checkInputs(cn, inputs); err != nil {
+			return wc, err
 		}
 	} else {
 		inputs, _ = cn.standardInputs()
