@@ -1,10 +1,13 @@
 package fault
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/activation"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/rng"
 )
@@ -184,24 +187,129 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchCapacityPanics pins the overload panics.
+// TestBatchCapacityPanics pins the overload panics, each with the
+// package's own message rather than a runtime bounds error.
 func TestBatchCapacityPanics(t *testing.T) {
 	net, _ := batchTestNet(157)
 	bp := CompileBatch(net, 2)
 	if bp.Lanes() != 2 {
 		t.Fatalf("Lanes() = %d, want 2", bp.Lanes())
 	}
+	short := func() {
+		bp.Reset(make([]Plan, 2))
+		bp.ErrorsOnTraces(make([]Injector, 2), make([]*nn.Trace, 1), make([]float64, 2))
+	}
 	for _, run := range []func(){
 		func() { bp.Reset(make([]Plan, 3)) },
 		func() { bp.ResetShared(Plan{}, 3) },
+		short,
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("expected panic on over-capacity load")
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "fault: ") {
+					t.Errorf("want a fault: panic on over-capacity load or short trace slice, got %q", msg)
 				}
 			}()
 			run()
 		}()
+	}
+}
+
+// reachable is the brute-force compute set of a plan on a graph: level
+// by level, the rows carrying a synapse fault or reading, through any
+// in-edge, a changed node (reached or overridden) of an earlier level.
+func reachable(g *graph.Net, p Plan) [][]int32 {
+	L := g.NumLayers()
+	changed := make([][]bool, L+1)
+	sets := make([][]int32, L+1)
+	for l := 1; l <= L; l++ {
+		changed[l] = make([]bool, g.Width(l))
+		for to := range changed[l] {
+			in := false
+			for _, f := range p.Synapses {
+				in = in || (f.Layer == l && f.To == to)
+			}
+			for k := 0; k < g.FanIn(l, to); k++ {
+				if sl, si, _ := g.InEdge(l, to, k); sl >= 1 && changed[sl][si] {
+					in = true
+				}
+			}
+			if in {
+				sets[l] = append(sets[l], int32(to))
+			}
+			changed[l][to] = in
+		}
+		for _, f := range p.Neurons {
+			if f.Layer == l {
+				changed[l][f.Index] = true
+			}
+		}
+	}
+	return sets
+}
+
+// TestBatchComputeSetsAreReachability checks Reset's compute sets on
+// sparse graphs, layered and with skip edges, against brute-force
+// forward reachability from each plan's faulted neurons and synapse
+// targets; that a lane joins the kernel exactly when its set and its
+// overrides cover the level; that the row path is really exercised
+// (some non-empty set is smaller than its level); that ResetShared
+// builds the same sets in every lane; and that no mark outlives Reset.
+func TestBatchComputeSetsAreReachability(t *testing.T) {
+	fixtures := []*graph.Net{
+		graph.NewSparse(rng.New(263), 8, []int{256, 256, 256}, activation.NewSigmoid(1), 0.02),
+		graph.NewSmallWorld(rng.New(269), 8, []int{128, 96, 128}, activation.NewSigmoid(1), 3, 0.3),
+	}
+	for fi, g := range fixtures {
+		r := rng.New(271)
+		L := g.NumLayers()
+		var plans []Plan
+		for i := 0; i < 6; i++ {
+			p := RandomNeuronPlan(r, g, []int{r.Intn(5), r.Intn(5), r.Intn(5)})
+			p.Synapses = RandomSynapsePlan(r, g, []int{r.Intn(2), r.Intn(3), r.Intn(2), r.Intn(2)}).Synapses
+			plans = append(plans, p)
+		}
+		plans = append(plans, RandomNeuronPlan(r, g, []int{100, 0, 0}))
+		bp := CompileBatch(g, len(plans))
+		rowPath, kernel := false, false
+		check := func(lane int, plan Plan) {
+			t.Helper()
+			want := reachable(g, plan)
+			ls := &bp.sets[lane]
+			for l := 1; l <= L; l++ {
+				got := slices.Clone(ls.rows[l])
+				slices.Sort(got)
+				if !slices.Equal(got, want[l]) {
+					t.Fatalf("fixture %d plan %+v level %d: compute set %v, reachability %v", fi, plan, l, got, want[l])
+				}
+				covered := len(want[l])
+				for _, i := range bp.lanes[lane].overridden[l] {
+					if _, in := slices.BinarySearch(want[l], int32(i)); !in {
+						covered++
+					}
+				}
+				if ls.kernel[l] != (covered == g.Width(l)) {
+					t.Fatalf("fixture %d level %d: kernel = %v with %d of %d rows changed", fi, l, ls.kernel[l], covered, g.Width(l))
+				}
+				rowPath = rowPath || (len(got) > 0 && len(got) < g.Width(l))
+				kernel = kernel || ls.kernel[l]
+			}
+			if i := slices.Index(bp.mark, true); i >= 0 {
+				t.Fatalf("fixture %d: mark %d left set after Reset", fi, i)
+			}
+		}
+		bp.Reset(plans)
+		for lane, plan := range plans {
+			check(lane, plan)
+		}
+		for _, plan := range plans {
+			bp.ResetShared(plan, 2)
+			check(0, plan)
+			check(1, plan)
+		}
+		if !rowPath || !kernel {
+			t.Fatalf("fixture %d: row path taken %v, kernel taken %v; the plans must exercise both", fi, rowPath, kernel)
+		}
 	}
 }

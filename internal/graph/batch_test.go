@@ -116,6 +116,102 @@ func TestGraphBatchMatchesScalarAllModels(t *testing.T) {
 	}
 }
 
+// batchSparseNet is the row-path fixture: three 256-wide levels, each
+// node reading about 5 nodes of the previous one, so a fault reaches a
+// few dozen rows of the next level — the batched sweep computes those
+// alone.
+func batchSparseNet(seed uint64) (*graph.Net, [][]float64) {
+	r := rng.New(seed)
+	g := graph.NewSparse(r, 8, []int{256, 256, 256}, activation.NewSigmoid(1), 0.02)
+	return g, randomInputs(r, 8, 4)
+}
+
+// sparseBatchPlans mixes the lanes the row path must get right: no
+// faults, one crash and its deeper twin (compute sets equal at level 2,
+// different at level 3), random faults on every level, a synapse fault
+// on a level-2 row that no neuron fault reaches beside one on the
+// output stage, two synapse faults on one row, and a flood of level-1
+// faults that changes whole later levels (those lanes join the kernel).
+func sparseBatchPlans(t *testing.T, r *rng.Rand, g *graph.Net) []fault.Plan {
+	t.Helper()
+	// A level-2 row that does not read node (1, 3).
+	unreached := -1
+	for to := 0; to < g.Width(2) && unreached < 0; to++ {
+		reads := false
+		for k := 0; k < g.FanIn(2, to); k++ {
+			if sl, si, _ := g.InEdge(2, to, k); sl == 1 && si == 3 {
+				reads = true
+			}
+		}
+		if !reads {
+			unreached = to
+		}
+	}
+	plans := []fault.Plan{
+		{},
+		{Neurons: []fault.NeuronFault{{Layer: 1, Index: 3}}},
+		{Neurons: []fault.NeuronFault{{Layer: 1, Index: 3}, {Layer: 2, Index: 200}}},
+		fault.RandomNeuronPlan(r, g, []int{4, 4, 4}),
+		{Neurons: []fault.NeuronFault{{Layer: 1, Index: 3}},
+			Synapses: []fault.SynapseFault{lastEdge(g, 2, unreached), lastEdge(g, 4, 0)}},
+		{Synapses: []fault.SynapseFault{{Layer: 3, To: 17, From: 0}, lastEdge(g, 3, 17)}},
+		fault.RandomNeuronPlan(r, g, []int{200, 0, 1}),
+		randomGraphPlan(r, g),
+	}
+	for i, p := range plans {
+		if err := p.Validate(g); err != nil {
+			t.Fatalf("plan %d invalid on the sparse graph: %v", i, err)
+		}
+	}
+	return plans
+}
+
+// TestSparseBatchRowPathMatchesScalar is the row path's ground-truth
+// gate: on the wide sparse graph, where most lanes compute only the
+// rows their faults reach, every registered fault model's batched
+// errors must equal the scalar engine's bit for bit — per-lane traces,
+// ragged lane counts, and lanes mixing the row path and the kernel.
+func TestSparseBatchRowPathMatchesScalar(t *testing.T) {
+	g, inputs := batchSparseNet(239)
+	traces := fault.CleanTraces(g, inputs)
+	plans := sparseBatchPlans(t, rng.New(241), g)
+	for _, m := range fault.Models() {
+		build := func(seed uint64) fault.Injector {
+			inj, err := m.New(fault.Params{C: 0.8, Sem: core.DeviationCap, Value: 0.4, Prob: 0.5, Bits: 8, Bit: 6, Net: g, R: rng.New(seed)})
+			if err != nil {
+				t.Fatalf("%s: %v", m.Name, err)
+			}
+			return inj
+		}
+		for _, lanes := range []int{1, 3, len(plans)} {
+			bp := fault.CompileBatch(g, len(plans))
+			bp.Reset(plans[:lanes])
+			injs := make([]fault.Injector, lanes)
+			oracle := make([]fault.Injector, lanes)
+			scalars := make([]*fault.CompiledPlan, lanes)
+			for p := 0; p < lanes; p++ {
+				injs[p] = build(uint64(2000 + p))
+				oracle[p] = build(uint64(2000 + p))
+				scalars[p] = fault.Compile(g, plans[p])
+			}
+			out := make([]float64, lanes)
+			trs := make([]*nn.Trace, lanes)
+			for i := range traces {
+				for p := range trs {
+					trs[p] = traces[(i+p)%len(traces)]
+				}
+				bp.ErrorsOnTraces(injs, trs, out)
+				for p := 0; p < lanes; p++ {
+					want := scalars[p].ErrorOnTrace(oracle[p], trs[p])
+					if out[p] != want {
+						t.Fatalf("%s lanes=%d lane %d: batched %v != scalar %v", m.Name, lanes, p, out[p], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGraphBatchSteadyStateAllocs extends the batched engine's
 // zero-allocation contract to graph models: once compiled and loaded,
 // Reset + a full trace sweep over the level-scheduled lanes path must
@@ -143,6 +239,26 @@ func TestGraphBatchSteadyStateAllocs(t *testing.T) {
 	run()
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Errorf("batched graph sweep: %v allocs per run, want 0", allocs)
+	}
+
+	// The row path on the wide sparse graph: compute sets are rebuilt
+	// in Reset's grow-only buffers, and each lane reads its own trace.
+	sg, sinputs := batchSparseNet(251)
+	straces := fault.CleanTraces(sg, sinputs)
+	splans := sparseBatchPlans(t, rng.New(257), sg)
+	sbp := fault.CompileBatch(sg, len(splans))
+	trs := make([]*nn.Trace, len(splans))
+	for p := range trs {
+		trs[p] = straces[p%len(straces)]
+	}
+	sout := make([]float64, len(splans))
+	srun := func() {
+		sbp.Reset(splans)
+		sbp.ErrorsOnTraces(injs, trs, sout)
+	}
+	srun()
+	if allocs := testing.AllocsPerRun(50, srun); allocs != 0 {
+		t.Errorf("batched sparse row-path sweep: %v allocs per run, want 0", allocs)
 	}
 }
 

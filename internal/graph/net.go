@@ -66,6 +66,13 @@ type Net struct {
 	meta       []levelMeta // meta[l-1] for level l = 1..L+1
 	outMax     [][]float64 // outMax[l-1][i]: max |w| over edges leaving node (l, i)
 	compileErr error
+	// The reader index (nn.RowSummer) in flat CSR form: hidden node
+	// (l, i) is number rowBase[l]+i, and the hidden rows reading node g
+	// are rdRow[rdPtr[g]:rdPtr[g+1]], ascending — one int32 per edge
+	// between hidden levels.
+	rowBase []int
+	rdPtr   []int32
+	rdRow   []int32
 }
 
 // levelMeta is the compiled per-level evaluation metadata.
@@ -77,6 +84,7 @@ type levelMeta struct {
 	col       []int // per-edge concat column
 	maxW      float64
 	prevOnly  bool       // srcLevels ⊆ {l-1}: LayerSums/OutputSum are valid
+	dense     bool       // one source level, read in full by every node
 	csr       tensor.CSR // zero-copy view over the level's edge arrays
 }
 
@@ -141,12 +149,44 @@ func (n *Net) doCompile() error {
 	}
 	n.meta = make([]levelMeta, L+1)
 	n.outMax = make([][]float64, L)
+	n.rowBase = make([]int, L+2)
 	for l := 1; l <= L; l++ {
 		n.outMax[l-1] = make([]float64, n.Levels[l-1].N)
+		n.rowBase[l+1] = n.rowBase[l] + n.Levels[l-1].N
 	}
+	hidden := n.rowBase[L+1]
+	n.rdPtr = make([]int32, hidden+1)
 	for l := 1; l <= L+1; l++ {
 		if err := n.compileLevel(l); err != nil {
 			return err
+		}
+	}
+	edges := 0
+	for _, lv := range n.Levels {
+		edges += lv.Edges()
+	}
+	if hidden+edges >= math.MaxInt32 {
+		return fmt.Errorf("graph: %d hidden nodes and %d edges overflow the int32 reader index", hidden, edges)
+	}
+	// compileLevel counted each node's hidden readers into rdPtr[g+1];
+	// the prefix sum makes them offsets, and a second walk in (level,
+	// row) order fills every node's readers ascending.
+	for g := 1; g <= hidden; g++ {
+		n.rdPtr[g] += n.rdPtr[g-1]
+	}
+	n.rdRow = make([]int32, n.rdPtr[hidden])
+	next := make([]int32, hidden)
+	copy(next, n.rdPtr)
+	for l := 1; l <= L; l++ {
+		lv := n.Levels[l-1]
+		for to := 0; to < lv.N; to++ {
+			for e := lv.Ptr[to]; e < lv.Ptr[to+1]; e++ {
+				if sl := lv.SrcLevel[e]; sl >= 1 {
+					g := n.rowBase[sl] + lv.SrcIdx[e]
+					n.rdRow[next[g]] = int32(n.rowBase[l] + to)
+					next[g]++
+				}
+			}
 		}
 	}
 	return nil
@@ -199,6 +239,9 @@ func (n *Net) compileLevel(l int) error {
 				if a := math.Abs(lv.W[e]); a > n.outMax[sl-1][si] {
 					n.outMax[sl-1][si] = a
 				}
+				if l <= len(n.Levels) {
+					n.rdPtr[n.rowBase[sl]+si+1]++
+				}
 			}
 		}
 	}
@@ -217,6 +260,9 @@ func (n *Net) compileLevel(l int) error {
 	m.concatW = off
 	m.cut = off &^ 3
 	m.prevOnly = len(m.srcLevels) == 0 || (len(m.srcLevels) == 1 && m.srcLevels[0] == l-1)
+	// Edges are unique per node, so N full rows are the only way to
+	// reach N × width edges from one source level.
+	m.dense = len(m.srcLevels) == 1 && ne == lv.N*n.width(m.srcLevels[0])
 	m.col = make([]int, ne)
 	for e := 0; e < ne; e++ {
 		i := sort.SearchInts(m.srcLevels, lv.SrcLevel[e])
@@ -308,53 +354,36 @@ func (n *Net) InEdge(l, to, k int) (srcLevel, srcIdx int, w float64) {
 }
 
 // nodeSum accumulates node `to`'s in-edges over the full level outputs
-// ys in the dense kernel's lane order (no bias).
+// ys in the dense kernel's lane order (no bias). On a dense level that
+// order is tensor.Dot's over the node's weights; otherwise each edge
+// indexes its accumulator with tensor.AccLane, which costs no branch
+// on random sparse columns (Dot's unrolled loop is faster still where
+// the columns run in sequence).
 func nodeSum(lv *Level, m *levelMeta, to int, ys [][]float64) float64 {
-	var s0, s1, s2, s3 float64
+	if m.dense {
+		return tensor.Dot(lv.W[lv.Ptr[to]:lv.Ptr[to+1]], ys[m.srcLevels[0]])
+	}
+	var s [4]float64
 	cut := m.cut
 	for e := lv.Ptr[to]; e < lv.Ptr[to+1]; e++ {
-		v := lv.W[e] * ys[lv.SrcLevel[e]][lv.SrcIdx[e]]
-		if c := m.col[e]; c < cut {
-			switch c & 3 {
-			case 0:
-				s0 += v
-			case 1:
-				s1 += v
-			case 2:
-				s2 += v
-			case 3:
-				s3 += v
-			}
-		} else {
-			s0 += v
-		}
+		s[tensor.AccLane(m.col[e], cut)] += lv.W[e] * ys[lv.SrcLevel[e]][lv.SrcIdx[e]]
 	}
-	return s0 + s1 + s2 + s3
+	return s[0] + s[1] + s[2] + s[3]
 }
 
 // nodeSumPrev is nodeSum for a prevOnly level, reading the previous
 // level's outputs directly (edge column == SrcIdx there).
 func nodeSumPrev(lv *Level, m *levelMeta, to int, y []float64) float64 {
-	var s0, s1, s2, s3 float64
+	if m.dense {
+		return tensor.Dot(lv.W[lv.Ptr[to]:lv.Ptr[to+1]], y)
+	}
+	var s [4]float64
 	cut := m.cut
 	for e := lv.Ptr[to]; e < lv.Ptr[to+1]; e++ {
-		v := lv.W[e] * y[lv.SrcIdx[e]]
-		if c := lv.SrcIdx[e]; c < cut {
-			switch c & 3 {
-			case 0:
-				s0 += v
-			case 1:
-				s1 += v
-			case 2:
-				s2 += v
-			case 3:
-				s3 += v
-			}
-		} else {
-			s0 += v
-		}
+		c := lv.SrcIdx[e]
+		s[tensor.AccLane(c, cut)] += lv.W[e] * y[c]
 	}
-	return s0 + s1 + s2 + s3
+	return s[0] + s[1] + s[2] + s[3]
 }
 
 // LevelSums computes level l's pre-activation sums into dst from every
@@ -376,6 +405,30 @@ func (n *Net) LevelSums(l int, dst []float64, ys [][]float64, skip []int) {
 		}
 		dst[to] = s
 	}
+}
+
+// RowSums computes the pre-activation sums of the listed rows of level
+// l into dst, biases included — LevelSums' operations on those rows
+// alone (nn.RowSummer).
+func (n *Net) RowSums(l int, dst []float64, ys [][]float64, rows []int32) {
+	n.mustCompile()
+	lv := n.Levels[l-1]
+	m := &n.meta[l-1]
+	for _, r := range rows {
+		s := nodeSum(lv, m, int(r), ys)
+		if lv.Bias != nil {
+			s += lv.Bias[r]
+		}
+		dst[r] = s
+	}
+}
+
+// Readers returns the hidden rows that read node i of hidden level v,
+// ascending, in the nn.RowSummer numbering.
+func (n *Net) Readers(v, i int) []int32 {
+	n.mustCompile()
+	g := n.rowBase[v] + i
+	return n.rdRow[n.rdPtr[g]:n.rdPtr[g+1]]
 }
 
 // LevelSumsLanes computes level l's pre-activation sums for every lane

@@ -468,21 +468,34 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 		t.Fatalf("checkpoint = %+v, want prefix of 24 units", ck)
 	}
 
-	// Restart: a fresh manager over the same store recovers the job and
-	// resumes it from the checkpoint — without the hook, so it runs out.
+	// Restart: recovery normalises the interrupted record. New starts
+	// its workers before it returns, so a Get on the restarted manager
+	// can already see the resumed run; observe recovery on a manager
+	// whose workers never start, then on the record it persisted.
 	st2 := openStore(t, dir)
+	probe := &Manager{st: st2, jobs: map[string]*job{}, activeMemo: map[string]string{}}
+	if _, err := probe.recover(); err != nil {
+		t.Fatal(err)
+	}
+	resumed, ok := probe.jobs[victim.ID]
+	if !ok {
+		t.Fatal("restarted manager lost the job")
+	}
+	if resumed.rec.State == StateRunning {
+		t.Fatalf("recovered state = %s before a worker picked it up", resumed.rec.State)
+	}
+	var persisted Record
+	if ok, err := st2.JobRecord(victim.ID, &persisted); err != nil || !ok || persisted.State != resumed.rec.State {
+		t.Fatalf("persisted recovered record = %s (%v %v), want %s", persisted.State, ok, err, resumed.rec.State)
+	}
+
+	// A fresh manager over the same store resumes the job from the
+	// checkpoint — without the hook, so it runs out.
 	m2, err := New(Config{Store: st2, Exec: campaignExec(8, nil), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Close(context.Background())
-	resumed, err := m2.Get(victim.ID)
-	if err != nil {
-		t.Fatalf("restarted manager lost the job: %v", err)
-	}
-	if resumed.State == StateRunning {
-		t.Fatalf("recovered state = %s before a worker picked it up", resumed.State)
-	}
 	final := waitTerminal(t, m2, victim.ID)
 	if final.State != StateDone {
 		t.Fatalf("resumed job = %s (%s)", final.State, final.Error)

@@ -118,3 +118,23 @@ func LevelSumsLanesModel(m DAGModel, l int, dsts [][]float64, srcs [][][]float64
 		m.LevelSums(l, dsts[k], srcs[k], nil)
 	}
 }
+
+// RowSummer is an optional DAGModel refinement for sparse wiring: a
+// reader index over the hidden nodes and a kernel for a listed subset
+// of a level's rows. The batched plan engine uses it to compute only
+// the rows a fault can reach; models without it (dense, conv) evaluate
+// every row of a divergent level.
+//
+// Readers numbers hidden rows consecutively across levels 1..L: row r
+// of level l is Σ_{1<=u<l} Width(u) + r.
+type RowSummer interface {
+	// Readers returns, ascending, the hidden rows that read node i of
+	// hidden level v (1 <= v <= L); the output node is not listed. The
+	// slice is owned by the model; callers must not mutate it.
+	Readers(v, i int) []int32
+	// RowSums writes level l's pre-activation sums, biases included,
+	// into dst[r] for every listed row r, reading every level's outputs
+	// ys as LevelSums does; each entry is bit-identical to LevelSums'.
+	// Other entries of dst are left untouched.
+	RowSums(l int, dst []float64, ys [][]float64, rows []int32)
+}

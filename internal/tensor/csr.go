@@ -68,7 +68,10 @@ func (c *CSR) GatherLanesAddTo(ys [][]float64, srcs [][][]float64, b []float64) 
 
 // gatherLanesRange is the serial core of GatherLanesAddTo: rows outer,
 // lanes inner in pairs, so a row's edge list (Idx, Col, W) is streamed
-// once per pair while both lanes' gathers ride the same loads.
+// once per pair while both lanes' gathers ride the same loads. Each
+// edge adds into accumulator AccLane(col, cut) of an indexed
+// [4]float64: columns are random on sparse wiring, so a branch on the
+// column would mispredict about three times in four.
 func (c *CSR) gatherLanesRange(ys [][]float64, srcs [][][]float64, b []float64, lo, hi int) {
 	cut := c.Cut
 	for r := lo; r < hi; r++ {
@@ -76,57 +79,24 @@ func (c *CSR) gatherLanesRange(ys [][]float64, srcs [][][]float64, b []float64, 
 		k := 0
 		for ; k+2 <= len(srcs); k += 2 {
 			sa, sb := srcs[k], srcs[k+1]
-			var a0, a1, a2, a3 float64
-			var b0, b1, b2, b3 float64
+			var a, bb [4]float64
 			for e := start; e < end; e++ {
 				w := c.W[e]
 				lvl, idx := c.Lvl[e], c.Idx[e]
-				va := w * sa[lvl][idx]
-				vb := w * sb[lvl][idx]
-				if col := c.Col[e]; col < cut {
-					switch col & 3 {
-					case 0:
-						a0 += va
-						b0 += vb
-					case 1:
-						a1 += va
-						b1 += vb
-					case 2:
-						a2 += va
-						b2 += vb
-					case 3:
-						a3 += va
-						b3 += vb
-					}
-				} else {
-					a0 += va
-					b0 += vb
-				}
+				j := AccLane(c.Col[e], cut)
+				a[j] += w * sa[lvl][idx]
+				bb[j] += w * sb[lvl][idx]
 			}
-			ys[k][r] = a0 + a1 + a2 + a3
-			ys[k+1][r] = b0 + b1 + b2 + b3
+			ys[k][r] = a[0] + a[1] + a[2] + a[3]
+			ys[k+1][r] = bb[0] + bb[1] + bb[2] + bb[3]
 		}
 		if k < len(srcs) {
 			s := srcs[k]
-			var a0, a1, a2, a3 float64
+			var a [4]float64
 			for e := start; e < end; e++ {
-				v := c.W[e] * s[c.Lvl[e]][c.Idx[e]]
-				if col := c.Col[e]; col < cut {
-					switch col & 3 {
-					case 0:
-						a0 += v
-					case 1:
-						a1 += v
-					case 2:
-						a2 += v
-					case 3:
-						a3 += v
-					}
-				} else {
-					a0 += v
-				}
+				a[AccLane(c.Col[e], cut)] += c.W[e] * s[c.Lvl[e]][c.Idx[e]]
 			}
-			ys[k][r] = a0 + a1 + a2 + a3
+			ys[k][r] = a[0] + a[1] + a[2] + a[3]
 		}
 		if b != nil {
 			for k := range ys {
@@ -134,4 +104,12 @@ func (c *CSR) gatherLanesRange(ys [][]float64, srcs [][][]float64, b []float64, 
 			}
 		}
 	}
+}
+
+// AccLane returns the accumulator a gathered edge at concatenation column
+// col feeds under the four-way order with boundary cut: col&3 below the
+// cut, 0 for the tail. The sign of col-cut masks the index, so indexing
+// a [4]float64 accumulator with it costs no branch.
+func AccLane(col, cut int) int {
+	return col & 3 & ((col - cut) >> 63)
 }
