@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store bench-snapshot fuzz-smoke staticcheck vuln svcbench-check serve-smoke load load-smoke
+.PHONY: ci fmt vet build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store fuzz-smoke staticcheck vuln svcbench-check serve-smoke
 
-ci: fmt vet staticcheck vuln build test svcbench-check bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store fuzz-smoke serve-smoke load-smoke
+ci: fmt vet staticcheck vuln build test svcbench-check bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store fuzz-smoke serve-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "$$out"; echo "gofmt: files need formatting"; exit 1; }
@@ -32,8 +32,11 @@ svcbench-check:
 
 # Short smoke of the hot-path microbenchmarks (fixed iteration count so
 # it stays fast on slow runners). Full runs: go test -bench . -benchtime=2s
+# BenchmarkCertifySpan (both spans of a 24×24 conv2d net's cut) takes
+# ~0.3 s an op, hence its own short line.
 bench:
 	$(GO) test -run '^$$' -bench 'Forward|Faulted' -benchtime=100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkCertifySpan' -benchtime=3x -benchmem ./internal/core
 
 # Native-vs-lowered conv smoke (BENCH_4.json workload): keeps the native
 # conv path honest — TestConvNativeSpeedSmoke FAILS if the native and
@@ -86,13 +89,6 @@ bench-graph-batch:
 bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkStore' -benchtime=20x -benchmem ./internal/store
 
-# Regenerates a BENCH_N.json skeleton from the gated benchmark suite:
-# runs the acceptance benchmarks, parses the `go test -bench` output,
-# and emits the environment + acceptance stanzas so PR snapshots stop
-# being hand-assembled. Usage: make bench-snapshot N=11 [> BENCH_11.json]
-bench-snapshot:
-	sh scripts/bench_snapshot.sh $(N)
-
 # Short coverage-guided runs of every fuzz target, starting from the
 # committed seed corpora (testdata/fuzz/ in each package). Any crasher
 # or invariant violation fails the target; in normal `go test` runs the
@@ -115,25 +111,8 @@ vuln:
 
 # End-to-end smoke of the query service: build the CLI, boot `neurofail
 # serve` against a fresh store, hit /healthz and one /v1/bounds query,
-# and verify a clean SIGTERM shutdown.
+# submit a long Monte Carlo job, and verify a clean SIGTERM shutdown
+# with that job resident.
 serve-smoke:
 	$(GO) build -o /tmp/neurofail-smoke ./cmd/neurofail
 	sh scripts/serve_smoke.sh /tmp/neurofail-smoke
-
-# Quick load smoke (BENCH_5.json workload, scaled down for CI): boots
-# the server with the async job tier, drives concurrent /v1/bounds
-# clients plus Monte Carlo campaigns, asserts non-zero sustained RPS,
-# every campaign completed, a memo hit on resubmission, and a graceful
-# SIGTERM drain.
-load-smoke:
-	$(GO) build -o /tmp/neurofail-smoke ./cmd/neurofail
-	$(GO) build -o /tmp/neurofail-loadgen ./cmd/loadgen
-	sh scripts/load_smoke.sh /tmp/neurofail-smoke /tmp/neurofail-loadgen
-
-# Full load harness: regenerates BENCH_5.json (p50/p99 latency and
-# sustained RPS under concurrent campaign load).
-load:
-	$(GO) build -o /tmp/neurofail-smoke ./cmd/neurofail
-	$(GO) build -o /tmp/neurofail-loadgen ./cmd/loadgen
-	CLIENTS=8 DURATION=10s JOBS=4 JOB_TRIALS=20000 \
-		sh scripts/load_smoke.sh /tmp/neurofail-smoke /tmp/neurofail-loadgen BENCH_5.json

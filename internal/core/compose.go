@@ -107,9 +107,11 @@ func Compose(a, b SubnetCert) (SubnetCert, error) {
 //
 // The span must be closed under the cut: no edge into the span may
 // originate below level lo-1 (use Cuts to find the levels where a model
-// can be split). Gain runs a forward sensitivity sweep from the cut and
-// Fep a reverse amplification sweep per output, each restricted to the
-// span's edges — the same per-node algebra as NodeShape.
+// can be split). Each span output gets one reverseAmp sweep over the
+// span's edges, floored at the cut level lo-1 — the same per-node
+// algebra as NodeShape: the amplification it leaves at level lo-1 is
+// the output's Gain row, and the worst f_t amplifications of each
+// hidden level t price its Fep. A NaN weight in the span is an error.
 func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, error) {
 	L := m.NumLayers()
 	dm := nn.DAGOf(m)
@@ -131,90 +133,49 @@ func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, e
 			return SubnetCert{}, fmt.Errorf("core: f_%d = %d outside [0, %d]", t, f, m.Width(t))
 		}
 	}
-	k := m.Activation().Lipschitz()
-	in := m.Width(lo - 1)
-	outW := m.Width(hi)
-	// Forward gain sweep: gain[v][j][i] bounds node (v, j)'s sensitivity
-	// to cut input i.
-	gain := make([][][]float64, hi+1)
-	gain[lo-1] = make([][]float64, in)
-	for i := 0; i < in; i++ {
-		row := make([]float64, in)
-		row[i] = 1
-		gain[lo-1][i] = row
-	}
+	// The cut check: in-edges are listed by ascending source level, so
+	// each node's first edge is its lowest.
 	for t := lo; t <= hi; t++ {
-		wt := m.Width(t)
-		gain[t] = make([][]float64, wt)
-		for j := 0; j < wt; j++ {
-			row := make([]float64, in)
-			d := dm.FanIn(t, j)
-			for e := 0; e < d; e++ {
-				sl, si, w := dm.InEdge(t, j, e)
-				if sl < lo-1 {
-					return SubnetCert{}, fmt.Errorf("core: CertifySpan: edge into level %d from level %d crosses the cut at %d", t, sl, lo-1)
-				}
-				aw := math.Abs(w)
-				if aw == 0 {
-					continue
-				}
-				src := gain[sl][si]
-				for i := 0; i < in; i++ {
-					row[i] += aw * src[i]
-				}
+		for j := 0; j < m.Width(t); j++ {
+			if dm.FanIn(t, j) == 0 {
+				continue
 			}
-			if t <= L {
-				for i := range row {
-					row[i] *= k
-				}
+			if sl, _, _ := dm.InEdge(t, j, 0); sl < lo-1 {
+				return SubnetCert{}, fmt.Errorf("core: CertifySpan: edge into level %d from level %d crosses the cut at %d", t, sl, lo-1)
 			}
-			gain[t][j] = row
 		}
 	}
-	cert := SubnetCert{In: in, Out: outW, Gain: gain[hi], Fep: make([]float64, outW)}
-	// Reverse amplification sweep per span output: ampTo[v][j] bounds
-	// output `o`'s deviation per unit deviation of node (v, j)'s emitted
-	// value, within the span.
+	k := m.Activation().Lipschitz()
+	outW := m.Width(hi)
+	cert := SubnetCert{In: m.Width(lo - 1), Out: outW, Gain: make([][]float64, outW), Fep: make([]float64, outW)}
+	// amp[v][j] bounds output o's deviation per unit deviation of node
+	// (v, j)'s emitted value, within the span; its cut row lo-1 is o's
+	// gain row.
 	amp := make([][]float64, hi+1)
+	widest := 0
+	for t := lo - 1; t <= hi; t++ {
+		amp[t] = make([]float64, m.Width(t))
+		widest = max(widest, m.Width(t))
+	}
+	scratch := make([]float64, 0, widest)
 	for o := 0; o < outW; o++ {
-		for t := lo; t <= hi; t++ {
-			if amp[t] == nil {
-				amp[t] = make([]float64, m.Width(t))
-			} else {
-				for j := range amp[t] {
-					amp[t][j] = 0
-				}
-			}
+		for t := lo - 1; t <= hi; t++ {
+			clear(amp[t])
 		}
 		amp[hi][o] = 1
-		for t := hi; t >= lo; t-- {
-			for j := 0; j < m.Width(t); j++ {
-				g := amp[t][j]
-				if t <= L {
-					g *= k
-				}
-				if g == 0 {
-					continue
-				}
-				d := dm.FanIn(t, j)
-				for e := 0; e < d; e++ {
-					sl, si, w := dm.InEdge(t, j, e)
-					if sl >= lo {
-						amp[sl][si] += math.Abs(w) * g
-					}
-				}
-			}
+		if err := reverseAmp(dm, k, amp, hi, lo-1); err != nil {
+			return SubnetCert{}, err
 		}
+		cert.Gain[o] = append([]float64(nil), amp[lo-1]...)
 		total := 0.0
-		scratch := make([]float64, 0, 64)
 		for t := lo; t <= hidHi; t++ {
 			f := faults[t-lo]
 			if f == 0 {
 				continue
 			}
 			scratch = append(scratch[:0], amp[t]...)
-			sort.Sort(sort.Reverse(sort.Float64Slice(scratch)))
-			for i := 0; i < f; i++ {
+			sort.Float64s(scratch)
+			for i := len(scratch) - 1; i >= len(scratch)-f; i-- {
 				total += scratch[i]
 			}
 		}

@@ -71,70 +71,107 @@ func NodeShapeOf(m nn.Model) (*NodeShape, error) {
 		widths: make([]int, L),
 		k:      k,
 		actCap: math.Max(math.Abs(act.Min()), math.Abs(act.Max())),
-		amp:    make([][]float64, L),
-		inAmp:  make([]float64, m.Width(0)),
 	}
-	// amp[t] with a virtual amp for the output node seeded at 1.
-	full := make([][]float64, L+2)
 	for t := 1; t <= L; t++ {
 		w := m.Width(t)
 		if w <= 0 {
 			return nil, fmt.Errorf("core: layer %d has width %d", t, w)
 		}
 		ns.widths[t-1] = w
-		full[t] = make([]float64, w)
 	}
-	full[L+1] = []float64{1}
 	dm := nn.DAGOf(m)
+	full := outputAmps(m)
+	if err := reverseAmp(dm, k, full, L+1, 0); err != nil {
+		return nil, err
+	}
+	ns.inAmp = full[0]
+	ns.amp = full[1 : L+1]
+	// An errored synapse into level t is amplified by its receiver's
+	// gain, counted once per in-edge.
 	ns.synPrefix = make([][]float64, L+1)
-	for t := L + 1; t >= 1; t-- {
-		wt := 1
-		if t <= L {
-			wt = m.Width(t)
-		}
+	for t := 1; t <= L+1; t++ {
 		var gains []float64
-		for j := 0; j < wt; j++ {
-			g := full[t][j]
-			if t <= L {
-				g *= k
-			}
-			d := dm.FanIn(t, j)
-			for e := 0; e < d; e++ {
+		for j, a := range full[t] {
+			g := a * levelK(L, t, k)
+			for e := dm.FanIn(t, j); e > 0; e-- {
 				gains = append(gains, g)
-				sl, si, w := dm.InEdge(t, j, e)
-				if math.IsNaN(w) {
-					return nil, fmt.Errorf("core: NaN weight into layer %d", t)
-				}
-				aw := math.Abs(w) * g
-				if sl == 0 {
-					ns.inAmp[si] += aw
-				} else {
-					full[sl][si] += aw
-				}
 			}
 		}
-		// Worst-f synapse prefix sums for edges into level t.
-		sort.Sort(sort.Reverse(sort.Float64Slice(gains)))
-		pre := make([]float64, len(gains)+1)
-		for i, g := range gains {
-			pre[i+1] = pre[i] + g
-		}
-		ns.synPrefix[t-1] = pre
+		ns.synPrefix[t-1] = descendingPrefix(gains)
 	}
 	ns.sorted = make([][]float64, L)
 	ns.prefix = make([][]float64, L)
 	for l := 1; l <= L; l++ {
-		ns.amp[l-1] = full[l]
-		s := append([]float64(nil), full[l]...)
-		sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-		ns.sorted[l-1] = s
-		pre := make([]float64, len(s)+1)
-		for i, a := range s {
-			pre[i+1] = pre[i] + a
-		}
-		ns.prefix[l-1] = pre
+		ns.sorted[l-1] = append([]float64(nil), full[l]...)
+		ns.prefix[l-1] = descendingPrefix(ns.sorted[l-1])
 	}
 	return ns, nil
+}
+
+// outputAmps returns a reverseAmp table seeded at the output node: a
+// zero row for every level 0..L and a unit row for level L+1.
+func outputAmps(m nn.Model) [][]float64 {
+	L := m.NumLayers()
+	amp := make([][]float64, L+2)
+	for t := 0; t <= L; t++ {
+		amp[t] = make([]float64, m.Width(t))
+	}
+	amp[L+1] = []float64{1}
+	return amp
+}
+
+// levelK is the Lipschitz factor a unit deviation of level t's sum
+// picks up: K at a hidden level, 1 at the linear output node (L+1).
+func levelK(L, t int, k float64) float64 {
+	if t > L {
+		return 1
+	}
+	return k
+}
+
+// reverseAmp is the one reverse amplification sweep behind NodeShape,
+// SubtreeBounder and CertifySpan. On entry amp[top] holds the seeds and
+// every row an edge into levels floor+1..top leaves from is zero; on
+// return amp[v][i] bounds the seeds' weighted deviation per unit
+// deviation of node (v, i)'s emitted value, along every path whose
+// intermediate nodes sit above floor:
+//
+//	amp(v) = Σ_{edges v→u} |w_{vu}| · levelK(u) · amp(u).
+//
+// Levels at or below floor receive amplification but forward none, and
+// nodes with zero gain are skipped. A NaN weight on a walked edge is an
+// error: it would turn the certificate into NaN.
+func reverseAmp(dm nn.DAGModel, k float64, amp [][]float64, top, floor int) error {
+	L := dm.NumLayers()
+	for t := top; t > floor; t-- {
+		kt := levelK(L, t, k)
+		for j, a := range amp[t] {
+			g := a * kt
+			if g == 0 {
+				continue
+			}
+			d := dm.FanIn(t, j)
+			for e := 0; e < d; e++ {
+				sl, si, w := dm.InEdge(t, j, e)
+				if math.IsNaN(w) {
+					return fmt.Errorf("core: NaN weight into layer %d", t)
+				}
+				amp[sl][si] += math.Abs(w) * g
+			}
+		}
+	}
+	return nil
+}
+
+// descendingPrefix sorts xs descending in place and returns its prefix
+// sums: entry f sums the f largest values.
+func descendingPrefix(xs []float64) []float64 {
+	sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+	pre := make([]float64, len(xs)+1)
+	for i, x := range xs {
+		pre[i+1] = pre[i] + x
+	}
+	return pre
 }
 
 // Layers returns L.

@@ -9,9 +9,11 @@ package core_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/activation"
+	"repro/internal/conv"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -294,6 +296,98 @@ func TestCertifySpanRejectsCrossingEdges(t *testing.T) {
 			faults := make([]int, L-v)
 			if _, err := core.CertifySpan(g, v+1, L+1, faults, 0.5); err == nil {
 				t.Fatalf("trial %d: span above non-cut %d certified", trial, v)
+			}
+		}
+	}
+}
+
+// spanConv2D is a side×side conv2d net with two 3×3 layers of four
+// filters each: its level 1 is the wide cut input of the upper span.
+func spanConv2D(tb testing.TB, side int) nn.Model {
+	tb.Helper()
+	m, err := conv.NewRandom2D(rng.New(251), side, side, []int{3, 3}, []int{4, 4}, activation.NewSigmoid(1), 0.5, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// TestCertifySpanAllocsFlatInIn pins CertifySpan's memory at O(nodes):
+// certifying the upper span [2, L+1] of a conv2d net — 1 output, an
+// In as wide as level 1 — may allocate at most 64 bytes per node of
+// levels lo-1..hi, however wide the cut is.
+func TestCertifySpanAllocsFlatInIn(t *testing.T) {
+	for _, side := range []int{12, 24} {
+		m := spanConv2D(t, side)
+		L := m.NumLayers()
+		faults := make([]int, L-1)
+		for i := range faults {
+			faults[i] = 1
+		}
+		nodes := 0
+		for v := 1; v <= L+1; v++ {
+			nodes += m.Width(v)
+		}
+		certify := func() {
+			if _, err := core.CertifySpan(m, 2, L+1, faults, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		certify()
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			certify()
+		}
+		runtime.ReadMemStats(&after)
+		perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(nodes)
+		if perNode > 64 {
+			t.Errorf("%dx%d conv2d: CertifySpan allocates %.0f bytes per node, want <= 64", side, side, perNode)
+		}
+	}
+}
+
+// TestAmplificationSweepRejectsNaNWeight: a NaN weight must surface as
+// an error from every certificate built on the reverse sweep, never as
+// a NaN bound.
+func TestAmplificationSweepRejectsNaNWeight(t *testing.T) {
+	n := nn.NewRandom(rng.New(257), nn.Config{InputDim: 3, Widths: []int{5, 4, 3}, Act: activation.NewSigmoid(1)}, 1)
+	n.Hidden[1].Set(2, 1, math.NaN())
+	faults := []int{1, 1, 1}
+	if _, err := core.NodeShapeOf(n); err == nil {
+		t.Error("NodeShapeOf accepted a NaN weight")
+	}
+	if _, err := core.NewSubtreeBounder(n, faults); err == nil {
+		t.Error("NewSubtreeBounder accepted a NaN weight")
+	}
+	for _, lo := range []int{1, 2} {
+		if _, err := core.CertifySpan(n, lo, 4, faults[lo-1:], 1); err == nil {
+			t.Errorf("CertifySpan [%d, 4] accepted a NaN weight", lo)
+		}
+	}
+}
+
+// BenchmarkCertifySpan certifies both spans of every interior cut of a
+// 24×24 conv2d net, as `neurofail bounds` does.
+func BenchmarkCertifySpan(b *testing.B) {
+	m := spanConv2D(b, 24)
+	L := m.NumLayers()
+	faults := make([]int, L)
+	for i := range faults {
+		faults[i] = 1
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, cut := range core.Cuts(m) {
+			if cut > L-1 {
+				continue
+			}
+			if _, err := core.CertifySpan(m, 1, cut, faults[:cut], 1); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.CertifySpan(m, cut+1, L+1, faults[cut:], 1); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -61,9 +61,9 @@ type SubtreeBounder struct {
 
 // NewSubtreeBounder builds per-node propagation coefficients for a
 // fault distribution (faults[l-1] faulty neurons in layer l) over any
-// Model — one reverse topological sweep per damaged depth, O(dl·E)
-// total. It validates and returns errors: the tree engine is reachable
-// from serve requests.
+// Model — one reverseAmp sweep per damaged depth, O(dl·E) total. It
+// validates and returns errors: the tree engine is reachable from serve
+// requests.
 func NewSubtreeBounder(m nn.Model, faults []int) (*SubtreeBounder, error) {
 	act := m.Activation()
 	k := act.Lipschitz()
@@ -87,64 +87,23 @@ func NewSubtreeBounder(m nn.Model, faults []int) (*SubtreeBounder, error) {
 			maxDepth = l
 		}
 	}
-	b := &SubtreeBounder{layers: L, maxDepth: maxDepth}
+	b := &SubtreeBounder{layers: L, maxDepth: maxDepth, coef: make([][][]float64, maxDepth+1)}
 	dm := nn.DAGOf(m)
-	full, err := b.sweep(dm, k, 0)
-	if err != nil {
-		return nil, err
-	}
-	b.amp = full
-	b.coef = make([][][]float64, maxDepth+1)
-	for d := 1; d <= maxDepth; d++ {
-		restricted, err := b.sweep(dm, k, d)
-		if err != nil {
+	// Depth d is the sweep's floor: nodes at levels <= d accumulate
+	// incoming amplification but forward nothing — their deviations
+	// are measured, not propagated. d = 0 frees every level.
+	for d := 0; d <= maxDepth; d++ {
+		amp := outputAmps(m)
+		if err := reverseAmp(dm, k, amp, L+1, d); err != nil {
 			return nil, err
 		}
-		b.coef[d] = restricted[:d]
+		if d == 0 {
+			b.amp = amp[1 : L+1]
+		} else {
+			b.coef[d] = amp[1 : d+1]
+		}
 	}
 	return b, nil
-}
-
-// sweep computes, for every node, the amplification of a unit deviation
-// of its emitted value into the output along paths whose INTERMEDIATE
-// nodes all sit at levels > d (d = 0 frees every level: the NodeShape
-// amp). One reverse pass: nodes at levels <= d accumulate incoming
-// amplification but forward nothing — their deviations are measured,
-// not propagated.
-func (b *SubtreeBounder) sweep(m nn.DAGModel, k float64, d int) ([][]float64, error) {
-	L := b.layers
-	full := make([][]float64, L+2)
-	for t := 1; t <= L; t++ {
-		full[t] = make([]float64, m.Width(t))
-	}
-	full[L+1] = []float64{1}
-	for t := L + 1; t > d; t-- {
-		wt := 1
-		if t <= L {
-			wt = m.Width(t)
-		}
-		for j := 0; j < wt; j++ {
-			g := full[t][j]
-			if t <= L {
-				g *= k
-			}
-			if g == 0 {
-				continue
-			}
-			deg := m.FanIn(t, j)
-			for e := 0; e < deg; e++ {
-				sl, si, w := m.InEdge(t, j, e)
-				if math.IsNaN(w) {
-					return nil, fmt.Errorf("core: NaN weight into layer %d", t)
-				}
-				if sl == 0 {
-					continue // inputs cannot deviate
-				}
-				full[sl][si] += math.Abs(w) * g
-			}
-		}
-	}
-	return full[1 : L+1], nil
 }
 
 // Layers returns L.

@@ -32,20 +32,30 @@ type Profile struct {
 // in trial order and each lane replays the scalar evaluation exactly,
 // so the profile is bit-identical to evaluating trials one at a time.
 func MonteCarlo(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, inputs [][]float64, trials int, r *rng.Rand) Profile {
-	// One clean sweep per input serves every sampled configuration; each
-	// group of trials then costs one multi-lane damaged sweep per input.
-	traces := CleanTraces(n, inputs)
-	bp := CompileBatch(n, BatchLanes)
+	// One clean sweep per input serves every sampled configuration.
 	errs := make([]float64, trials)
+	TrialErrors(n, perLayer, c, sem, CleanTraces(n, inputs), func(int) *rng.Rand { return r }, errs)
+	return ProfileOf(errs)
+}
+
+// TrialErrors is the Monte Carlo trial loop: errs[t] receives the max
+// error over the clean traces of trial t's random failure configuration
+// — a RandomNeuronPlan of perLayer and a RandomByzantine injector
+// (crashes when c == 0) drawn from stream(t), in trial order. Trials
+// run BatchLanes at a time through the batched engine, and each lane
+// replays the scalar evaluation exactly, so batching never changes a
+// result. A sequential caller returns one shared generator for every
+// t; a sharded caller returns a per-trial stream, so a trial samples
+// the same configuration whichever shard runs it.
+func TrialErrors(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, traces []*nn.Trace, stream func(t int) *rng.Rand, errs []float64) {
+	bp := CompileBatch(n, BatchLanes)
 	var plans [BatchLanes]Plan
 	var injs [BatchLanes]Injector
 	var laneErr, laneWorst [BatchLanes]float64
-	for t := 0; t < trials; t += BatchLanes {
-		lanes := BatchLanes
-		if rem := trials - t; rem < lanes {
-			lanes = rem
-		}
+	for t := 0; t < len(errs); t += BatchLanes {
+		lanes := min(BatchLanes, len(errs)-t)
 		for p := 0; p < lanes; p++ {
+			r := stream(t + p)
 			plans[p] = RandomNeuronPlan(r, n, perLayer)
 			if c == 0 {
 				injs[p] = Crash{}
@@ -65,7 +75,6 @@ func MonteCarlo(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, in
 		}
 		copy(errs[t:t+lanes], laneWorst[:lanes])
 	}
-	return ProfileOf(errs)
 }
 
 // ProfileOf summarises per-trial max errors into a Profile — the shared

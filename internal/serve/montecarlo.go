@@ -22,43 +22,12 @@ import (
 // one.
 func (s *Server) mcRange(ctx context.Context, net nn.Model, perLayer []int, c float64, traces []*nn.Trace, seed uint64, base int, errs []float64) error {
 	return s.pool.ForCtx(ctx, len(errs), 0, func(lo, hi int) {
-		// Each chunk owns a batched evaluator it loads BatchLanes trials
-		// at a time; the clean traces are shared by all shards (they are
-		// the expensive part and are cached per network for the standard
-		// input set). Each trial still draws from its own splittable
-		// stream and each lane replays the scalar evaluation exactly, so
-		// batching — like sharding — changes who runs a trial, never
-		// what it computes.
-		bp := fault.CompileBatch(net, fault.BatchLanes)
-		var plans [fault.BatchLanes]fault.Plan
-		var injs [fault.BatchLanes]fault.Injector
-		var laneErr, laneWorst [fault.BatchLanes]float64
-		for i := lo; i < hi; i += fault.BatchLanes {
-			lanes := fault.BatchLanes
-			if rem := hi - i; rem < lanes {
-				lanes = rem
-			}
-			for p := 0; p < lanes; p++ {
-				r := rng.NewStream(seed, uint64(base+i+p))
-				plans[p] = fault.RandomNeuronPlan(r, net, perLayer)
-				if c == 0 {
-					injs[p] = fault.Crash{}
-				} else {
-					injs[p] = fault.RandomByzantine{C: c, Sem: core.DeviationCap, R: r.Split()}
-				}
-				laneWorst[p] = 0
-			}
-			bp.Reset(plans[:lanes])
-			for _, tr := range traces {
-				bp.ErrorsOnTrace(injs[:lanes], tr, laneErr[:lanes])
-				for p := 0; p < lanes; p++ {
-					if laneErr[p] > laneWorst[p] {
-						laneWorst[p] = laneErr[p]
-					}
-				}
-			}
-			copy(errs[i:i+lanes], laneWorst[:lanes])
-		}
+		// The clean traces are shared by all shards (they are the
+		// expensive part and are cached per network for the standard
+		// input set); each chunk runs its own batched trial loop.
+		fault.TrialErrors(net, perLayer, c, core.DeviationCap, traces, func(t int) *rng.Rand {
+			return rng.NewStream(seed, uint64(base+lo+t))
+		}, errs[lo:hi])
 	})
 }
 

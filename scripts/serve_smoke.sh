@@ -1,7 +1,8 @@
 #!/bin/sh
 # serve_smoke.sh — boots the neurofail query service against a fresh
-# store, verifies /healthz and one /v1/bounds certificate, and checks
-# the server exits cleanly on SIGTERM (graceful shutdown).
+# store, verifies /healthz and one /v1/bounds certificate, submits a
+# long Monte Carlo job, and checks the server exits cleanly on SIGTERM
+# while that job is still resident (graceful shutdown).
 #
 # Usage: serve_smoke.sh <path-to-neurofail-binary>
 set -eu
@@ -48,12 +49,19 @@ BOUNDS=$(curl -sf -X POST "http://$ADDR/v1/bounds" \
 echo "   $BOUNDS"
 echo "$BOUNDS" | grep -q '"fep"' || { echo "bounds response missing fep"; exit 1; }
 
-echo "== graceful shutdown (SIGTERM)"
+echo "== POST /v1/jobs (a Monte Carlo campaign that outlives the smoke)"
+JOB=$(curl -sf -X POST "http://$ADDR/v1/jobs" \
+    -H 'Content-Type: application/json' \
+    -d "{\"kind\": \"montecarlo\", \"request\": {\"network_id\": \"$ID\", \"trials\": 200000, \"seed\": 1}}")
+echo "$JOB" | grep '"state"' | sed 's/^ */   /'
+echo "$JOB" | grep -Eq '"state": "(queued|running)"' || { echo "job not resident"; exit 1; }
+
+echo "== graceful shutdown (SIGTERM) with the job resident"
 kill -TERM "$PID"
 WAITED=0
 while kill -0 "$PID" 2>/dev/null; do
     WAITED=$((WAITED + 1))
-    [ $WAITED -gt 100 ] && { echo "server did not exit"; exit 1; }
+    [ $WAITED -gt 150 ] && { echo "server did not exit within 15 s"; exit 1; }
     sleep 0.1
 done
 wait "$PID" 2>/dev/null || { echo "server exited non-zero"; exit 1; }
